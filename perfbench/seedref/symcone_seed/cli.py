@@ -1,0 +1,361 @@
+"""Command-line front end.
+
+Subcommands: facets, orbits, project, rays, check, decompose, verify,
+family.  Output is deterministic for identical invocations; rationals
+print as p/q in lowest terms.  Exit codes: 0 success, 1 failed
+check/verdict, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from fractions import Fraction
+
+from .cone import DEFAULT_MAX_DIM, extreme_rays, psi_p_hrep
+from .families import build_family
+from .partitions import Partition, canonical_partition
+from .setfn import (
+    GroundSet,
+    SetFunction,
+    is_matroid,
+    polymatroid_violation,
+    zhang_yeung_form,
+)
+from .symmetry import orbit_labels, orbit_sizes, symmetrize, to_sym
+from .verify import decompose_1n, run_suite
+
+
+def _jsonify(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(x) for x in obj]
+    return obj
+
+
+def _read_function(path: str, n=None) -> SetFunction:
+    with open(path, "r", encoding="utf-8") as fh:
+        return SetFunction.from_text(fh.read(), n=n)
+
+
+def _parse_partition(args) -> Partition:
+    if args.n is None:
+        raise ValueError("--n is required for this subcommand")
+    ground = GroundSet(args.n)
+    if args.partition is None:
+        return canonical_partition((args.n,), ground)
+    return Partition.parse(args.partition, ground)
+
+
+def _emit(payload, fmt: str, text_renderer):
+    if fmt == "json":
+        print(json.dumps(_jsonify(payload), indent=2, sort_keys=True))
+    elif fmt == "csv":
+        rows = payload if isinstance(payload, list) else [payload]
+        for row in rows:
+            if isinstance(row, dict):
+                print(",".join(str(_jsonify(v)) for v in row.values()))
+            else:
+                print(",".join(str(x) for x in row))
+    else:
+        text_renderer(payload)
+
+
+def cmd_facets(args) -> int:
+    p = _parse_partition(args)
+    cone = psi_p_hrep(p)
+    if args.format == "text":
+        print(cone.to_text())
+        return 0
+    payload = {
+        "dim": cone.dim,
+        "coords": [",".join(map(str, c)) for c in cone.coords],
+        "rows": [
+            {"label": str(label), "coeffs": list(coeffs)}
+            for coeffs, label in cone.rows
+        ],
+    }
+    _emit(payload, args.format, lambda pl: print(pl))
+    return 0
+
+
+def cmd_orbits(args) -> int:
+    p = _parse_partition(args)
+    sizes = orbit_sizes(p)
+    rows = [
+        {"label": str(label), "facets": sizes[label]}
+        for label in orbit_labels(p)
+    ]
+
+    def render(payload):
+        for r in payload:
+            print(f"{r['label']} {r['facets']}")
+        print(f"total {len(payload)}")
+
+    _emit(rows, args.format, render)
+    return 0
+
+
+def cmd_project(args) -> int:
+    h = _read_function(args.function, n=args.n)
+    ground = h.ground
+    if args.partition is None:
+        p = canonical_partition((ground.n,), ground)
+    else:
+        p = Partition.parse(args.partition, ground)
+    image = symmetrize(h, p)
+    svec = to_sym(image, p)
+
+    def render(_):
+        print("# projected function")
+        print(image.to_text())
+        print("# reduced coordinates")
+        print(svec.to_text())
+
+    payload = {
+        "function": image.to_json_array(),
+        "reduced": {
+            ",".join(map(str, t)): str(v)
+            for t, v in zip(svec.index.tuples, svec.values)
+        },
+    }
+    _emit(payload, args.format, render)
+    return 0
+
+
+def cmd_rays(args) -> int:
+    p = _parse_partition(args)
+    cone = psi_p_hrep(p)
+    max_dim = args.max_dim
+    rays = extreme_rays(cone, max_dim=max_dim)
+    payload = [
+        {
+            "direction": list(r.direction),
+            "tight": [str(lab) for lab in cone.tight_labels(r.direction)],
+        }
+        for r in rays
+    ]
+
+    def render(rows):
+        for row in rows:
+            print(
+                " ".join(str(x) for x in row["direction"])
+                + "  |  "
+                + " ".join(row["tight"])
+            )
+        print(f"total {len(rows)}")
+
+    _emit(payload, args.format, render)
+    return 0
+
+
+def cmd_check(args) -> int:
+    h = _read_function(args.function, n=args.n)
+    wanted = [
+        name
+        for name, on in (
+            ("polymatroid", args.polymatroid),
+            ("matroid", args.matroid),
+            ("member", args.member),
+            ("zy", args.zy),
+        )
+        if on
+    ]
+    if not wanted:
+        wanted = ["polymatroid", "matroid"]
+    results = {}
+    failed = False
+    if "polymatroid" in wanted:
+        bad = polymatroid_violation(h)
+        results["polymatroid"] = {"pass": bad is None}
+        if bad is not None:
+            results["polymatroid"]["violated"] = str(bad)
+            failed = True
+    if "matroid" in wanted:
+        ok = is_matroid(h)
+        results["matroid"] = {"pass": ok}
+        failed = failed or not ok
+    if "member" in wanted:
+        p = Partition.parse(args.partition, h.ground) if args.partition else (
+            canonical_partition((h.n,), h.ground)
+        )
+        vec = to_sym(h, p).free_values()
+        ok = psi_p_hrep(p).contains(vec)
+        results["member"] = {"pass": ok, "partition": str(p)}
+        failed = failed or not ok
+    if "zy" in wanted:
+        roles = tuple(int(x) for x in args.roles.split(","))
+        value = zhang_yeung_form(h.ground, roles).evaluate(h)
+        results["zy"] = {"pass": value >= 0, "value": str(value), "roles": list(roles)}
+        failed = failed or value < 0
+
+    def render(res):
+        for name, info in res.items():
+            extra = " ".join(
+                f"{k}={v}" for k, v in info.items() if k != "pass"
+            )
+            print(f"{name}: {'pass' if info['pass'] else 'FAIL'} {extra}".rstrip())
+
+    _emit(results, args.format, render)
+    return 1 if failed else 0
+
+
+def cmd_decompose(args) -> int:
+    h = _read_function(args.function, n=args.n)
+    res = decompose_1n(h, h.n, strategy=args.strategy)
+    from .families import family_Un_tags
+
+    if res.feasible:
+        payload = {
+            "feasible": True,
+            "coefficients": {
+                tag: str(c)
+                for tag, c in zip(family_Un_tags(h.n), res.coefficients)
+            },
+        }
+    else:
+        payload = {
+            "feasible": False,
+            "certificate": [str(x) for x in res.certificate],
+        }
+
+    def render(pl):
+        if pl["feasible"]:
+            for tag, c in pl["coefficients"].items():
+                if c != "0":
+                    print(f"{tag} {c}")
+        else:
+            print("infeasible; separating functional:")
+            print(" ".join(pl["certificate"]))
+
+    _emit(payload, args.format, render)
+    return 0 if res.feasible else 1
+
+
+def cmd_verify(args) -> int:
+    verdicts = run_suite(
+        psi_sizes=tuple(range(2, args.n_max + 1)),
+        two_block_sizes=tuple(range(2, min(args.n_max, 5) + 1)),
+        bijection_max_n=min(args.n_max, 5),
+        isolation_max_n=min(args.n_max, 5),
+        seed=args.seed,
+    )
+    report = [
+        {
+            "claim": v.claim,
+            "params": _jsonify(v.params),
+            "pass": v.passed,
+            **({"counterexample": _jsonify(v.counterexample)} if v.counterexample else {}),
+            "wall_time_ms": round(v.elapsed_ms, 3),
+        }
+        for v in verdicts
+    ]
+
+    def render(rows):
+        for r in rows:
+            status = "pass" if r["pass"] else "FAIL"
+            print(f"{status} {r['claim']} {r['params']}")
+        bad = sum(1 for r in rows if not r["pass"])
+        print(f"total {len(rows)} failed {bad}")
+
+    _emit(report, args.format, render)
+    return 0 if all(r["pass"] for r in report) else 1
+
+
+def cmd_family(args) -> int:
+    h = build_family(args.tag)
+    if args.format == "json":
+        print(json.dumps(h.to_json_array()))
+    else:
+        print(h.to_text())
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="symcone",
+        description="exact computations on symmetric polymatroid cones",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp, partition=True, function=False):
+        sp.add_argument("--n", type=int, default=None)
+        if partition:
+            sp.add_argument("--partition", type=str, default=None,
+                            help="blocks as '1,2|3,4' (default: one block)")
+        if function:
+            sp.add_argument("--function", type=str, required=True,
+                            help="path to a 'mask value' set-function file")
+        sp.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+        sp.add_argument("--seed", type=int, default=0)
+
+    sp = sub.add_parser("facets", help="reduced facet system with orbit labels")
+    common(sp)
+    sp.set_defaults(fn=cmd_facets)
+
+    sp = sub.add_parser("orbits", help="orbit labels and per-orbit facet counts")
+    common(sp)
+    sp.set_defaults(fn=cmd_orbits)
+
+    sp = sub.add_parser("project", help="symmetrize a function and reduce it")
+    common(sp, function=True)
+    sp.set_defaults(fn=cmd_project)
+
+    sp = sub.add_parser("rays", help="extreme rays with tight orbit labels")
+    common(sp)
+    env_cap = os.environ.get("SYMCONE_MAX_DIM")
+    sp.add_argument("--max-dim", type=int,
+                    default=int(env_cap) if env_cap else DEFAULT_MAX_DIM)
+    sp.set_defaults(fn=cmd_rays)
+
+    sp = sub.add_parser("check", help="test a function file")
+    common(sp, function=True)
+    sp.add_argument("--polymatroid", action="store_true")
+    sp.add_argument("--matroid", action="store_true")
+    sp.add_argument("--member", action="store_true",
+                    help="membership in the reduced cone of --partition")
+    sp.add_argument("--zy", action="store_true",
+                    help="evaluate the four-variable non-Shannon form")
+    sp.add_argument("--roles", type=str, default="1,2,3,4")
+    sp.set_defaults(fn=cmd_check)
+
+    sp = sub.add_parser("decompose",
+                        help="conic coefficients over the generator family")
+    common(sp, partition=False, function=True)
+    sp.add_argument("--strategy", choices=("lp", "inductive"), default="lp")
+    sp.set_defaults(fn=cmd_decompose)
+
+    sp = sub.add_parser("verify", help="run the verification battery")
+    common(sp, partition=False)
+    sp.add_argument("--n-max", type=int, default=5)
+    sp.set_defaults(fn=cmd_verify, format="json")
+
+    sp = sub.add_parser("family", help="print a named family member")
+    sp.add_argument("tag", type=str,
+                    help="uniform:m,n | ukm:k,m,n | u1loop:n | gap:n1,n2")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(fn=cmd_family)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except SystemExit:
+        raise
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

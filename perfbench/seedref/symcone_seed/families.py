@@ -1,0 +1,253 @@
+"""Constructors for the named rank functions used throughout: uniform
+matroids with or without loops, free expansion and its inverse factor,
+the generator family of the singleton-block reduced cone, and the
+symmetric functions witnessing the gap to the entropic region."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .partitions import Partition
+from .setfn import GroundSet, SetFunction, is_polymatroid, mask_of
+from .symmetry import SymIndexSet, SymVector, from_sym, symmetrize
+
+
+@dataclass(frozen=True)
+class ExpansionMap:
+    """Per-element images phi(i) in a target ground set, pairwise disjoint."""
+
+    source: GroundSet
+    target: GroundSet
+    images: tuple  # mask per source element, index i-1
+
+    def __post_init__(self) -> None:
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        if len(images) != self.source.n:
+            raise ValueError("one image mask per source element required")
+        union = 0
+        for m in images:
+            if m & union:
+                raise ValueError("images must be pairwise disjoint")
+            if m > self.target.full_mask:
+                raise ValueError("image outside the target ground set")
+            union |= m
+
+    def of_mask(self, B: int) -> int:
+        out = 0
+        pos = 0
+        while B:
+            if B & 1:
+                out |= self.images[pos]
+            B >>= 1
+            pos += 1
+        return out
+
+
+def canonical_expansion(h: SetFunction) -> ExpansionMap:
+    """Images as consecutive target blocks of sizes h({i}), in order."""
+    singles = [h(h.ground.singleton(i)) for i in range(1, h.n + 1)]
+    if any(v.denominator != 1 for v in singles):
+        raise ValueError("expansion needs integer singleton values")
+    sizes = [int(v) for v in singles]
+    m = sum(sizes)
+    target = GroundSet(m)
+    images = []
+    start = 1
+    for size in sizes:
+        images.append(mask_of(range(start, start + size)))
+        start += size
+    return ExpansionMap(h.ground, target, tuple(images))
+
+
+def uniform(m: int, n: int) -> SetFunction:
+    """Uniform matroid rank min(m, |A|)."""
+    if not 0 <= m <= n:
+        raise ValueError(f"rank {m} out of range for {n} elements")
+    ground = GroundSet(n)
+    return SetFunction.from_callable(
+        ground, lambda a: Fraction(min(m, a.bit_count()))
+    )
+
+
+def uniform_on_support(rank: int, support: int, ground: GroundSet) -> SetFunction:
+    """Uniform matroid of the given rank on `support`, loops elsewhere."""
+    if support == 0 or support > ground.full_mask:
+        raise ValueError("support must be a nonempty subset of the ground set")
+    if not 1 <= rank <= support.bit_count():
+        raise ValueError("rank out of range for the support")
+    return SetFunction.from_callable(
+        ground, lambda a: Fraction(min(rank, (a & support).bit_count()))
+    )
+
+
+def free_expansion(h: SetFunction, phi: ExpansionMap) -> SetFunction:
+    """Split every element into h({i}) freely placed ones.
+
+    The expanded rank of A is the exact minimum over all source subsets
+    B of h(B) + |A \\ phi(B)|; the result is always a matroid when h is
+    an integer polymatroid.
+    """
+    if phi.source != h.ground:
+        raise ValueError("expansion map does not match the ground set")
+    if not h.is_integer_valued():
+        raise ValueError("free expansion needs an integer-valued function")
+    if not is_polymatroid(h):
+        raise ValueError("free expansion needs a polymatroid")
+    for i in range(1, h.n + 1):
+        if phi.images[i - 1].bit_count() != h(h.ground.singleton(i)):
+            raise ValueError(f"image size of element {i} differs from h(.)")
+    images_of = [phi.of_mask(b) for b in h.ground.subsets()]
+
+    def rank(a: int) -> Fraction:
+        return min(
+            h.values[b] + (a & ~images_of[b]).bit_count()
+            for b in h.ground.subsets()
+        )
+
+    return SetFunction.from_callable(phi.target, rank)
+
+
+def factor(g: SetFunction, phi: ExpansionMap) -> SetFunction:
+    """Pull a function on the target back through phi: h(B) = g(phi(B))."""
+    if phi.target != g.ground:
+        raise ValueError("expansion map does not match the ground set")
+    return SetFunction.from_callable(
+        phi.source, lambda b: g.values[phi.of_mask(b)]
+    )
+
+
+def u1_loop(n: int) -> SetFunction:
+    """Indicator rank |A intersect {1}|: one free element, loops elsewhere."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    ground = GroundSet(n)
+    return SetFunction.from_callable(ground, lambda a: Fraction(a & 1))
+
+
+def phi_map(m: int, n: int) -> ExpansionMap:
+    """Element 1 maps to the first m - n + 1 targets, element i to {i + m - n}."""
+    if not n - 1 <= m <= 2 * n - 2:
+        raise ValueError(f"target size {m} out of range for {n} elements")
+    source = GroundSet(n)
+    target = GroundSet(m)
+    images = [mask_of(range(1, m - n + 2))]
+    for i in range(2, n + 1):
+        images.append(mask_of([i + m - n]))
+    return ExpansionMap(source, target, tuple(images))
+
+
+def u_km(k: int, m: int, n: int) -> SetFunction:
+    """Factor of the uniform matroid U_{k,m} through the head-heavy map."""
+    if not n - 1 <= m <= 2 * n - 2:
+        raise ValueError(f"m={m} out of range for n={n}")
+    if not max(1, m - n + 1) <= k <= n - 1:
+        raise ValueError(f"k={k} out of range for (m, n)=({m}, {n})")
+    return factor(uniform(k, m), phi_map(m, n))
+
+
+def family_Un_tags(n: int) -> list:
+    """Tags of the generator family: the loop matroid first, then
+    (m ascending, k ascending)."""
+    if n < 2:
+        raise ValueError("the family needs at least 2 elements")
+    tags = [f"u1loop:{n}"]
+    for m in range(n - 1, 2 * n - 1):
+        for k in range(max(1, m - n + 1), n):
+            tags.append(f"ukm:{k},{m},{n}")
+    return tags
+
+
+def family_Un(n: int) -> list:
+    """Generators of the reduced cone for a singleton first block.
+
+    Contains 1 + (n-1) + n(n-1)/2 functions, each symmetric under the
+    partition {{1}, {2..n}}.
+    """
+    return [build_family(tag) for tag in family_Un_tags(n)]
+
+
+def gap_witness_blocks(p: Partition) -> SetFunction:
+    """Symmetric polymatroid outside the closed entropic region.
+
+    Needs a two-block partition with both blocks of size >= 2; pairs
+    inside the first block get value 4, all other pairs 3, singletons
+    2, and everything larger 4.
+    """
+    if p.t != 2:
+        raise ValueError("witness needs a two-block partition")
+    if min(p.block_sizes) < 2:
+        raise ValueError("witness needs both blocks of size at least 2")
+    special = p.blocks[0]
+
+    def value(a: int) -> Fraction:
+        c = a.bit_count()
+        if c == 0:
+            return Fraction(0)
+        if c == 1:
+            return Fraction(2)
+        if c == 2:
+            return Fraction(4 if a & ~special == 0 else 3)
+        return Fraction(4)
+
+    return SetFunction.from_callable(p.ground, value)
+
+
+def gap_witness(n1: int, n2: int) -> SetFunction:
+    """Witness on {1..n1+n2} with first block {1..n1}."""
+    if n1 < 2 or n2 < 2:
+        raise ValueError("both blocks must have size at least 2")
+    ground = GroundSet(n1 + n2)
+    blocks = (mask_of(range(1, n1 + 1)), mask_of(range(n1 + 1, n1 + n2 + 1)))
+    return gap_witness_blocks(Partition(ground, blocks))
+
+
+def build_family(tag: str) -> SetFunction:
+    """Build a member from its literal tag.
+
+    Syntax: `uniform:m,n`, `ukm:k,m,n`, `u1loop:n`, `gap:n1,n2`.
+    """
+    try:
+        kind, _, argtext = tag.partition(":")
+        args = [int(x) for x in argtext.split(",")] if argtext else []
+    except ValueError as exc:
+        raise ValueError(f"bad family tag {tag!r}") from exc
+    if kind == "uniform" and len(args) == 2:
+        return uniform(*args)
+    if kind == "ukm" and len(args) == 3:
+        return u_km(*args)
+    if kind == "u1loop" and len(args) == 1:
+        return u1_loop(args[0])
+    if kind == "gap" and len(args) == 2:
+        return gap_witness(*args)
+    raise ValueError(f"bad family tag {tag!r}")
+
+
+# ---------------------------------------------------------------------------
+# Random sampling helpers for property checks
+
+
+def random_polymatroid(ground: GroundSet, rng: random.Random) -> SetFunction:
+    """Random conic combination of uniform-on-support rank functions."""
+    total = SetFunction(ground, (0,) * (1 << ground.n))
+    for _ in range(rng.randint(1, 4)):
+        support = rng.randint(1, ground.full_mask)
+        rank = rng.randint(1, support.bit_count())
+        weight = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        total = total + weight * uniform_on_support(rank, support, ground)
+    return total
+
+
+def random_symmetric_function(p: Partition, rng: random.Random) -> SetFunction:
+    """Random symmetric function: half the time an averaged polymatroid,
+    otherwise free symmetric values (rarely a polymatroid)."""
+    if rng.random() < 0.5:
+        return symmetrize(random_polymatroid(p.ground, rng), p)
+    index = SymIndexSet(p)
+    values = [Fraction(0)] + [
+        Fraction(rng.randint(0, 8), rng.randint(1, 3))
+        for _ in range(index.size - 1)
+    ]
+    return from_sym(SymVector(index, tuple(values)))

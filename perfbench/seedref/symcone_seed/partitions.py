@@ -1,0 +1,160 @@
+"""Partitions of the ground set, the refinement order, and canonical
+representatives indexed by the integer partitions of n."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .setfn import GroundSet, elements_of, mask_of
+
+#: A partition vector is a plain tuple of per-block intersection counts.
+PartitionVector = tuple
+#: An integer partition is a nondecreasing tuple of positive parts.
+IntegerPartition = tuple
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Ordered list of disjoint nonempty blocks covering the ground set."""
+
+    ground: GroundSet
+    blocks: tuple  # tuple of subset masks
+
+    def __post_init__(self) -> None:
+        blocks = tuple(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        union = 0
+        for b in blocks:
+            if b == 0:
+                raise ValueError("blocks must be nonempty")
+            if b & union:
+                raise ValueError("blocks must be disjoint")
+            union |= b
+        if union != self.ground.full_mask:
+            raise ValueError("blocks must cover the ground set")
+
+    @property
+    def t(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def n(self) -> int:
+        return self.ground.n
+
+    @property
+    def block_sizes(self) -> tuple:
+        return tuple(b.bit_count() for b in self.blocks)
+
+    def block_of(self, element: int) -> int:
+        m = self.ground.singleton(element)
+        for idx, b in enumerate(self.blocks):
+            if b & m:
+                return idx
+        raise ValueError(f"element {element} not covered")  # unreachable
+
+    def __str__(self) -> str:
+        return "|".join(
+            ",".join(str(e) for e in elements_of(b)) for b in self.blocks
+        )
+
+    @classmethod
+    def parse(cls, text: str, ground: GroundSet) -> "Partition":
+        """Parse the `1,2|3,4` block syntax."""
+        blocks = []
+        for chunk in text.split("|"):
+            els = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
+            if not els:
+                raise ValueError(f"empty block in partition literal {text!r}")
+            blocks.append(mask_of(els))
+        return cls(ground, tuple(blocks))
+
+    def to_json(self) -> list:
+        return [list(elements_of(b)) for b in self.blocks]
+
+
+def partition_vector(A: int, p: Partition) -> PartitionVector:
+    """Per-block intersection counts of the subset A."""
+    if A > p.ground.full_mask:
+        raise ValueError("subset out of range")
+    return tuple((A & b).bit_count() for b in p.blocks)
+
+
+def refines(p1: Partition, p2: Partition) -> bool:
+    """True iff every block of p2 is a union of blocks of p1."""
+    if p1.ground != p2.ground:
+        raise ValueError("partitions live on different ground sets")
+    for b2 in p2.blocks:
+        covered = 0
+        for b1 in p1.blocks:
+            if b1 & b2:
+                if b1 & ~b2:
+                    return False
+                covered |= b1
+        if covered != b2:
+            return False
+    return True
+
+
+def covers(p2: Partition, p1: Partition) -> bool:
+    """True iff p2 is obtained from p1 by merging exactly two blocks."""
+    if p1.ground != p2.ground:
+        raise ValueError("partitions live on different ground sets")
+    if p2.t != p1.t - 1 or not refines(p1, p2):
+        return False
+    merged = [b2 for b2 in p2.blocks if b2 not in set(p1.blocks)]
+    return len(merged) == 1
+
+
+@lru_cache(maxsize=None)
+def integer_partitions(n: int) -> tuple:
+    """All integer partitions of n as nondecreasing tuples.
+
+    Ordered by block count, then lexicographically, matching the order
+    in which canonical representatives are listed.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+
+    def gen(remaining: int, minimum: int):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(minimum, remaining + 1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    parts = list(gen(n, 1))
+    parts.sort(key=lambda q: (len(q), q))
+    return tuple(parts)
+
+
+def canonical_partition(parts, ground: GroundSet = None) -> Partition:
+    """Partition with consecutive blocks of the given sizes."""
+    parts = tuple(parts)
+    if any(q < 1 for q in parts):
+        raise ValueError("parts must be positive")
+    if list(parts) != sorted(parts):
+        raise ValueError("parts must be nondecreasing")
+    n = sum(parts)
+    if ground is None:
+        ground = GroundSet(n)
+    elif ground.n != n:
+        raise ValueError("parts do not sum to the ground set size")
+    blocks = []
+    start = 1
+    for size in parts:
+        blocks.append(mask_of(range(start, start + size)))
+        start += size
+    return Partition(ground, tuple(blocks))
+
+
+def canonical_representatives(n: int) -> list:
+    """One consecutive-block partition per integer partition of n."""
+    ground = GroundSet(n)
+    return [canonical_partition(parts, ground) for parts in integer_partitions(n)]
+
+
+def integer_partition_of(p: Partition) -> IntegerPartition:
+    """Nondecreasing block sizes of a partition."""
+    return tuple(sorted(p.block_sizes))

@@ -1,0 +1,378 @@
+"""Ground sets, subsets as bitmasks, and exact rational set functions.
+
+Everything in this module is exact: values are `fractions.Fraction`,
+subsets are plain ints with bit i-1 encoding element i, and every
+inequality test compares rationals.  Floats are never used because the
+cone machinery downstream needs exact zero detection.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+from typing import Iterable, Optional
+
+#: Largest ground set stored densely (2**n values per function).
+DENSE_GROUND_CAP = 12
+
+
+class UnsupportedSizeError(ValueError):
+    """The operation would need dense 2**n storage beyond the cap."""
+
+
+def mask_of(elements: Iterable[int]) -> int:
+    """Bitmask of a collection of elements (element i on bit i-1)."""
+    m = 0
+    for i in elements:
+        m |= 1 << (i - 1)
+    return m
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """Sorted elements of a subset mask."""
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def set_text(mask: int) -> str:
+    if mask == 0:
+        return "{}"
+    return "{" + ",".join(str(i) for i in elements_of(mask)) + "}"
+
+
+@dataclass(frozen=True)
+class GroundSet:
+    """The index set {1, ..., n}."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or not 1 <= self.n <= DENSE_GROUND_CAP:
+            raise UnsupportedSizeError(
+                f"ground set size {self.n!r} outside supported range "
+                f"1..{DENSE_GROUND_CAP}"
+            )
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    def subsets(self) -> range:
+        return range(1 << self.n)
+
+    def singleton(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"element {i} outside ground set 1..{self.n}")
+        return 1 << (i - 1)
+
+
+@dataclass(frozen=True)
+class SetFunction:
+    """Exact rational function on all subsets of a ground set.
+
+    `values[mask]` is the value on the subset encoded by `mask`; the
+    value on the empty set must be 0.
+    """
+
+    ground: GroundSet
+    values: tuple
+
+    def __post_init__(self) -> None:
+        vals = tuple(Fraction(v) for v in self.values)
+        if len(vals) != 1 << self.ground.n:
+            raise ValueError(
+                f"expected {1 << self.ground.n} values, got {len(vals)}"
+            )
+        if vals[0] != 0:
+            raise ValueError("value on the empty set must be 0")
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def n(self) -> int:
+        return self.ground.n
+
+    def __call__(self, mask: int) -> Fraction:
+        return self.values[mask]
+
+    @classmethod
+    def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
+        return cls(ground, tuple(fn(a) for a in ground.subsets()))
+
+    def is_integer_valued(self) -> bool:
+        return all(v.denominator == 1 for v in self.values)
+
+    def __add__(self, other: "SetFunction") -> "SetFunction":
+        if self.ground != other.ground:
+            raise ValueError("ground sets differ")
+        return SetFunction(
+            self.ground, tuple(a + b for a, b in zip(self.values, other.values))
+        )
+
+    def __rmul__(self, scalar) -> "SetFunction":
+        c = Fraction(scalar)
+        return SetFunction(self.ground, tuple(c * v for v in self.values))
+
+    __mul__ = __rmul__
+
+    def to_text(self) -> str:
+        """One `mask value` line per subset, in mask order."""
+        return "\n".join(f"{m} {v}" for m, v in enumerate(self.values))
+
+    @classmethod
+    def from_text(cls, text: str, n: Optional[int] = None) -> "SetFunction":
+        """Parse the `mask value` line format; missing masks default to 0."""
+        entries = {}
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad set-function line: {raw!r}")
+            entries[int(parts[0])] = Fraction(parts[1])
+        if not entries:
+            raise ValueError("empty set-function input")
+        if n is None:
+            n = max(entries).bit_length()
+            n = max(n, 1)
+        ground = GroundSet(n)
+        if max(entries) > ground.full_mask:
+            raise ValueError("mask out of range for ground set")
+        vals = tuple(entries.get(m, Fraction(0)) for m in ground.subsets())
+        return cls(ground, vals)
+
+    def to_json_array(self) -> list:
+        return [str(v) for v in self.values]
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """Sparse homogeneous linear form over set-function coordinates.
+
+    `sense` is ">=0" for an inequality or "==0" for an equality; the
+    coefficient of the empty set is dropped (it never matters on the
+    space of functions vanishing on the empty set).
+    """
+
+    ground: GroundSet
+    coeffs: tuple  # sorted ((mask, Fraction), ...), no empty-set entry
+    sense: str = ">=0"
+
+    def __post_init__(self) -> None:
+        if self.sense not in (">=0", "==0"):
+            raise ValueError(f"bad sense {self.sense!r}")
+        norm = tuple(
+            sorted((m, Fraction(c)) for m, c in self.coeffs if m != 0 and c != 0)
+        )
+        for m, _ in norm:
+            if m > self.ground.full_mask:
+                raise ValueError("coefficient mask out of range")
+        object.__setattr__(self, "coeffs", norm)
+
+    @classmethod
+    def make(cls, ground: GroundSet, coeffs: dict, sense: str = ">=0") -> "LinearForm":
+        return cls(ground, tuple(coeffs.items()), sense)
+
+    def evaluate(self, f: SetFunction) -> Fraction:
+        if f.ground != self.ground:
+            raise ValueError("ground sets differ")
+        return sum((c * f.values[m] for m, c in self.coeffs), Fraction(0))
+
+    def as_dict(self) -> dict:
+        return dict(self.coeffs)
+
+    def holds_on(self, f: SetFunction) -> bool:
+        v = self.evaluate(f)
+        return v == 0 if self.sense == "==0" else v >= 0
+
+
+@dataclass(frozen=True, order=True)
+class FacetId:
+    """Identifier E(I, K) of an elemental inequality.
+
+    I is a 1- or 2-element mask; K is disjoint from I and empty when
+    |I| = 1.
+    """
+
+    I: int
+    K: int = 0
+
+    def __post_init__(self) -> None:
+        size = self.I.bit_count()
+        if size not in (1, 2):
+            raise ValueError("I must have one or two elements")
+        if self.I & self.K:
+            raise ValueError("I and K must be disjoint")
+        if size == 1 and self.K != 0:
+            raise ValueError("K must be empty for a single-element I")
+
+    def __str__(self) -> str:
+        els = elements_of(self.I)
+        if len(els) == 1:
+            return f"E({els[0]})"
+        ktxt = ",".join(str(i) for i in elements_of(self.K)) or "-"
+        return f"E({els[0]},{els[1]}|{ktxt})"
+
+
+def elemental_form(ground: GroundSet, fid: FacetId) -> LinearForm:
+    """The elemental inequality ('>=0') carried by a facet identifier."""
+    if fid.I | fid.K > ground.full_mask:
+        raise ValueError("facet id out of range for ground set")
+    if fid.I.bit_count() == 1:
+        full = ground.full_mask
+        return LinearForm.make(ground, {full: Fraction(1), full ^ fid.I: Fraction(-1)})
+    i_mask = fid.I & -fid.I
+    j_mask = fid.I ^ i_mask
+    coeffs: dict = {}
+    for m, w in (
+        (fid.K | i_mask, 1),
+        (fid.K | j_mask, 1),
+        (fid.K, -1),
+        (fid.K | fid.I, -1),
+    ):
+        coeffs[m] = coeffs.get(m, 0) + w
+    return LinearForm.make(ground, {m: Fraction(c) for m, c in coeffs.items()})
+
+
+def submasks(sup: int):
+    """All subsets of a mask, in ascending numeric order."""
+    s = 0
+    while True:
+        yield s
+        if s == sup:
+            return
+        s = (s - sup) & sup
+
+
+def elemental_facet_ids(ground: GroundSet) -> list[FacetId]:
+    """All facet identifiers: E(i) for each i, then E(i,j|K) in order."""
+    n = ground.n
+    out = [FacetId(ground.singleton(i)) for i in range(1, n + 1)]
+    for i, j in combinations(range(1, n + 1), 2):
+        pair = ground.singleton(i) | ground.singleton(j)
+        rest = ground.full_mask ^ pair
+        for k in submasks(rest):
+            out.append(FacetId(pair, k))
+    return out
+
+
+def elemental_forms(ground: GroundSet) -> list[tuple[FacetId, LinearForm]]:
+    """One inequality per facet of the polymatroid cone."""
+    return [(fid, elemental_form(ground, fid)) for fid in elemental_facet_ids(ground)]
+
+
+def elemental_count(n: int) -> int:
+    """Closed-form facet count: n + C(n,2) * 2**(n-2)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return n + comb(n, 2) * (1 << max(n - 2, 0))
+
+
+def polymatroid_violation(f: SetFunction) -> Optional[FacetId]:
+    """First elemental inequality violated by `f`, or None if none is.
+
+    Scans E(i) for i = 1..n first, then the conditional forms in the
+    same order as `elemental_facet_ids`.
+    """
+    vals = f.values
+    ground = f.ground
+    full = ground.full_mask
+    top = vals[full]
+    for i in range(1, ground.n + 1):
+        m = ground.singleton(i)
+        if top - vals[full ^ m] < 0:
+            return FacetId(m)
+    for i, j in combinations(range(1, ground.n + 1), 2):
+        mi = ground.singleton(i)
+        mj = ground.singleton(j)
+        pair = mi | mj
+        rest = full ^ pair
+        for k in submasks(rest):
+            if vals[k | mi] + vals[k | mj] - vals[k] - vals[k | pair] < 0:
+                return FacetId(pair, k)
+    return None
+
+
+def is_polymatroid(f: SetFunction) -> bool:
+    """True iff `f` satisfies every elemental inequality."""
+    return polymatroid_violation(f) is None
+
+
+def is_matroid(f: SetFunction) -> bool:
+    """True iff `f` is a polymatroid with integer values bounded by cardinality."""
+    for m, v in enumerate(f.values):
+        if v.denominator != 1 or not 0 <= v <= m.bit_count():
+            return False
+    return is_polymatroid(f)
+
+
+def mutual_info(f: SetFunction, i: int, j: int, K: int = 0) -> Fraction:
+    """Conditional mutual information form f(K|i) + f(K|j) - f(K) - f(K|ij)."""
+    if i == j:
+        raise ValueError("indices must be distinct")
+    mi = f.ground.singleton(i)
+    mj = f.ground.singleton(j)
+    if (mi | mj) & K:
+        raise ValueError("conditioning set overlaps {i, j}")
+    if K > f.ground.full_mask:
+        raise ValueError("conditioning set out of range")
+    return f(K | mi) + f(K | mj) - f(K) - f(K | mi | mj)
+
+
+def _add_mutual_info(coeffs: dict, i_mask: int, j_mask: int, k_mask: int, weight: int) -> None:
+    for m, w in (
+        (k_mask | i_mask, weight),
+        (k_mask | j_mask, weight),
+        (k_mask, -weight),
+        (k_mask | i_mask | j_mask, -weight),
+    ):
+        coeffs[m] = coeffs.get(m, 0) + w
+
+
+def zhang_yeung_form(ground: GroundSet, roles: tuple[int, int, int, int] = (1, 2, 3, 4)) -> LinearForm:
+    """Four-variable non-Shannon inequality as a linear form (">=0").
+
+    With roles (a, b, c, d) the form is
+        I(a;b) + I(a;cd) + 3 I(c;d|a) + I(c;d|b) - 2 I(c;d).
+    The role order is exposed so all 4! assignments can be scanned.
+    """
+    if ground.n < 4:
+        raise UnsupportedSizeError("needs a ground set with at least 4 elements")
+    if len(roles) != 4 or len(set(roles)) != 4:
+        raise ValueError("roles must be 4 distinct elements")
+    a, b, c, d = (ground.singleton(r) for r in roles)
+    coeffs: dict = {}
+    _add_mutual_info(coeffs, a, b, 0, 1)
+    _add_mutual_info(coeffs, a, c | d, 0, 1)
+    _add_mutual_info(coeffs, c, d, a, 3)
+    _add_mutual_info(coeffs, c, d, b, 1)
+    _add_mutual_info(coeffs, c, d, 0, -2)
+    return LinearForm.make(ground, {m: Fraction(w) for m, w in coeffs.items()})
+
+
+def restrict(f: SetFunction, M: int) -> SetFunction:
+    """Restriction of `f` to the subset M, relabelled order-preservingly."""
+    if M == 0:
+        raise ValueError("cannot restrict to the empty set")
+    if M > f.ground.full_mask:
+        raise ValueError("subset out of range")
+    els = elements_of(M)
+    ground = GroundSet(len(els))
+    bit_for = [1 << (e - 1) for e in els]
+
+    def embed(sub: int) -> int:
+        m = 0
+        for pos in range(len(els)):
+            if sub >> pos & 1:
+                m |= bit_for[pos]
+        return m
+
+    return SetFunction(ground, tuple(f(embed(a)) for a in ground.subsets()))

@@ -1,0 +1,361 @@
+"""Block permutations, orbit averaging, reduced coordinates, and the
+labelling of facet orbits of the polymatroid cone.
+
+A partition p of the ground set induces the group of permutations that
+keep each block inside itself.  Functions constant on subsets with
+equal per-block counts form the symmetric subspace; they compress into
+a vector indexed by count tuples (k_1, ..., k_t), 0 <= k_i <= n_i.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations, product
+from math import comb, prod
+from typing import Iterator, Optional
+
+from .partitions import Partition, partition_vector
+from .setfn import FacetId, SetFunction, elements_of, set_text
+
+
+class SymmetryError(ValueError):
+    """Raised when a function is not symmetric under the given partition.
+
+    Carries a witnessing pair of subsets with equal count vectors but
+    different values.
+    """
+
+    def __init__(self, mask_a: int, mask_b: int):
+        self.mask_a = mask_a
+        self.mask_b = mask_b
+        super().__init__(
+            f"function differs on {set_text(mask_a)} and {set_text(mask_b)} "
+            "although their per-block counts agree"
+        )
+
+
+@dataclass(frozen=True)
+class BlockPermutation:
+    """Bijection of {1..n}; `mapping[i-1]` is the image of element i."""
+
+    mapping: tuple
+
+    def __post_init__(self) -> None:
+        m = tuple(self.mapping)
+        object.__setattr__(self, "mapping", m)
+        if sorted(m) != list(range(1, len(m) + 1)):
+            raise ValueError("mapping is not a bijection of 1..n")
+
+    @property
+    def n(self) -> int:
+        return len(self.mapping)
+
+    def of_element(self, i: int) -> int:
+        return self.mapping[i - 1]
+
+    def of_mask(self, mask: int) -> int:
+        out = 0
+        i = 1
+        while mask:
+            if mask & 1:
+                out |= 1 << (self.mapping[i - 1] - 1)
+            mask >>= 1
+            i += 1
+        return out
+
+    def compose(self, other: "BlockPermutation") -> "BlockPermutation":
+        """self after other: (self . other)(i) = self(other(i))."""
+        return BlockPermutation(
+            tuple(self.mapping[other.mapping[i] - 1] for i in range(self.n))
+        )
+
+    @classmethod
+    def identity(cls, n: int) -> "BlockPermutation":
+        return cls(tuple(range(1, n + 1)))
+
+    def preserves(self, p: Partition) -> bool:
+        return all(
+            self.of_mask(b) == b for b in p.blocks
+        )
+
+
+def block_permutations(p: Partition) -> Iterator[BlockPermutation]:
+    """All permutations fixing each block of p setwise.
+
+    The group has size prod(n_i!); intended for small grounds where it
+    serves as the brute-force averaging oracle.
+    """
+    per_block = []
+    for b in p.blocks:
+        els = elements_of(b)
+        per_block.append([dict(zip(els, img)) for img in permutations(els)])
+    n = p.ground.n
+    for combo in product(*per_block):
+        mapping = list(range(1, n + 1))
+        for block_map in combo:
+            for src, dst in block_map.items():
+                mapping[src - 1] = dst
+        yield BlockPermutation(tuple(mapping))
+
+
+def apply_to_function(sigma: BlockPermutation, h: SetFunction) -> SetFunction:
+    """Pullback action: result(A) = h(sigma(A))."""
+    if sigma.n != h.n:
+        raise ValueError("permutation size does not match ground set")
+    return SetFunction(
+        h.ground, tuple(h.values[sigma.of_mask(a)] for a in h.ground.subsets())
+    )
+
+
+def is_p_symmetric(h: SetFunction, p: Partition) -> bool:
+    """True iff h is constant on subsets with equal count vectors."""
+    return _symmetry_violation(h, p) is None
+
+
+def _symmetry_violation(h: SetFunction, p: Partition) -> Optional[tuple]:
+    seen: dict = {}
+    for a in h.ground.subsets():
+        lam = partition_vector(a, p)
+        if lam in seen:
+            first, val = seen[lam]
+            if h.values[a] != val:
+                return (first, a)
+        else:
+            seen[lam] = (a, h.values[a])
+    return None
+
+
+def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
+    """Orbit average of h under the block-permutation group of p.
+
+    Computed by the closed form: the value on A is the mean of h over
+    all subsets sharing A's count vector, the orbit size being a
+    product of binomials.  Equals the |group|-term average but costs
+    O(2**n) instead of O(prod n_i!).
+    """
+    if h.ground != p.ground:
+        raise ValueError("ground sets differ")
+    sums: dict = {}
+    for a in h.ground.subsets():
+        lam = partition_vector(a, p)
+        sums[lam] = sums.get(lam, Fraction(0)) + h.values[a]
+    sizes = p.block_sizes
+    means = {
+        lam: total / prod(comb(sizes[i], lam[i]) for i in range(p.t))
+        for lam, total in sums.items()
+    }
+    return SetFunction(
+        h.ground, tuple(means[partition_vector(a, p)] for a in h.ground.subsets())
+    )
+
+
+class SymIndexSet:
+    """Count tuples (k_1..k_t) of a partition, in lexicographic order."""
+
+    def __init__(self, p: Partition):
+        self.p = p
+        self.sizes = p.block_sizes
+        self.tuples = tuple(product(*(range(s + 1) for s in self.sizes)))
+        self.position = {tup: i for i, tup in enumerate(self.tuples)}
+
+    @property
+    def size(self) -> int:
+        return len(self.tuples)
+
+    @property
+    def free_tuples(self) -> tuple:
+        """All tuples except the all-zero origin."""
+        return self.tuples[1:]
+
+    def representative_mask(self, tup) -> int:
+        """Deterministic subset with the given counts: the first k_i
+        elements of each block."""
+        mask = 0
+        for b, k in zip(self.p.blocks, tup):
+            els = elements_of(b)
+            for e in els[:k]:
+                mask |= 1 << (e - 1)
+        return mask
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymIndexSet) and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
+
+
+@dataclass(frozen=True)
+class SymVector:
+    """Reduced coordinates of a symmetric function, one per count tuple."""
+
+    index: SymIndexSet
+    values: tuple
+
+    def __post_init__(self) -> None:
+        vals = tuple(Fraction(v) for v in self.values)
+        if len(vals) != self.index.size:
+            raise ValueError("wrong number of reduced coordinates")
+        if vals[0] != 0:
+            raise ValueError("coordinate at the zero tuple must be 0")
+        object.__setattr__(self, "values", vals)
+
+    def __getitem__(self, tup) -> Fraction:
+        return self.values[self.index.position[tuple(tup)]]
+
+    def free_values(self) -> tuple:
+        """Coordinates with the origin dropped, in tuple order."""
+        return self.values[1:]
+
+    def to_text(self) -> str:
+        return "\n".join(
+            ",".join(str(k) for k in tup) + " " + str(v)
+            for tup, v in zip(self.index.tuples, self.values)
+        )
+
+
+def to_sym(h: SetFunction, p: Partition) -> SymVector:
+    """Reduced coordinates of a p-symmetric function.
+
+    Raises SymmetryError naming a violating subset pair when h is not
+    symmetric.
+    """
+    if h.ground != p.ground:
+        raise ValueError("ground sets differ")
+    bad = _symmetry_violation(h, p)
+    if bad is not None:
+        raise SymmetryError(*bad)
+    index = SymIndexSet(p)
+    return SymVector(
+        index, tuple(h.values[index.representative_mask(t)] for t in index.tuples)
+    )
+
+
+def from_sym(s: SymVector) -> SetFunction:
+    """Inflate reduced coordinates back to a full set function."""
+    p = s.index.p
+    return SetFunction(
+        p.ground,
+        tuple(s.values[s.index.position[partition_vector(a, p)]] for a in p.ground.subsets()),
+    )
+
+
+@dataclass(frozen=True)
+class OrbitLabel:
+    """Pair of count vectors [lambda_I, lambda_K] classifying a facet orbit.
+
+    lambda_I sums to 1 (monotonicity facets, lambda_K = 0) or to 2
+    (conditional-information facets).
+    """
+
+    lambda_I: tuple
+    lambda_K: tuple
+
+    def __post_init__(self) -> None:
+        li = tuple(self.lambda_I)
+        lk = tuple(self.lambda_K)
+        object.__setattr__(self, "lambda_I", li)
+        object.__setattr__(self, "lambda_K", lk)
+        if len(li) != len(lk):
+            raise ValueError("count vectors must have equal length")
+        s = sum(li)
+        if s not in (1, 2):
+            raise ValueError("lambda_I must sum to 1 or 2")
+        if s == 1 and any(lk):
+            raise ValueError("lambda_K must vanish for monotonicity labels")
+
+    @property
+    def t(self) -> int:
+        return len(self.lambda_I)
+
+    @property
+    def kind(self) -> str:
+        """'A' monotonicity, 'B' split pair, 'C' pair within one block."""
+        if sum(self.lambda_I) == 1:
+            return "A"
+        return "C" if 2 in self.lambda_I else "B"
+
+    def blocks_touched(self) -> tuple:
+        """1-based positions of the blocks meeting I."""
+        return tuple(i + 1 for i, v in enumerate(self.lambda_I) if v)
+
+    def __str__(self) -> str:
+        t = self.t
+        ktxt = ",".join(str(k) for k in self.lambda_K)
+        if self.kind == "A":
+            (l,) = self.blocks_touched()
+            return f"[1_{t}({l})|0]"
+        if self.kind == "B":
+            l1, l2 = self.blocks_touched()
+            return f"[1_{t}({l1},{l2})|{ktxt}]"
+        (l,) = self.blocks_touched()
+        return f"[2_{t}({l})|{ktxt}]"
+
+
+def facet_orbit_label(fid: FacetId, p: Partition) -> OrbitLabel:
+    """Orbit label of an elemental facet under p."""
+    return OrbitLabel(partition_vector(fid.I, p), partition_vector(fid.K, p))
+
+
+def orbit_labels(p: Partition) -> list:
+    """All distinct facet-orbit labels, monotonicity labels first.
+
+    Split-pair labels range over count tuples avoiding the full count
+    in each touched block; within-block labels need a block of size at
+    least two and a count at most size-2 there.
+    """
+    sizes = p.block_sizes
+    t = p.t
+    ranges = [range(s + 1) for s in sizes]
+    out = []
+    for l in range(t):
+        e = tuple(1 if i == l else 0 for i in range(t))
+        out.append(OrbitLabel(e, (0,) * t))
+    for l1 in range(t):
+        for l2 in range(l1 + 1, t):
+            e = tuple(1 if i in (l1, l2) else 0 for i in range(t))
+            for k in product(*ranges):
+                if k[l1] != sizes[l1] and k[l2] != sizes[l2]:
+                    out.append(OrbitLabel(e, k))
+    for l in range(t):
+        if sizes[l] < 2:
+            continue
+        e = tuple(2 if i == l else 0 for i in range(t))
+        for k in product(*ranges):
+            if k[l] <= sizes[l] - 2:
+                out.append(OrbitLabel(e, k))
+    return out
+
+
+def orbit_count_formula(p: Partition) -> int:
+    """Closed-form number of facet orbits.
+
+    t monotonicity orbits, plus for each block pair the split-pair
+    count n_{l1} n_{l2} prod_{m != l1,l2} (n_m + 1), plus for each
+    block the within-block count (n_l - 1) prod_{m != l} (n_m + 1);
+    the last term vanishes for singleton blocks.
+    """
+    sizes = p.block_sizes
+    t = p.t
+    total_prod = prod(s + 1 for s in sizes)
+    count = t
+    for l1 in range(t):
+        for l2 in range(l1 + 1, t):
+            count += (
+                sizes[l1] * sizes[l2] * total_prod
+                // ((sizes[l1] + 1) * (sizes[l2] + 1))
+            )
+    for l in range(t):
+        count += (sizes[l] - 1) * total_prod // (sizes[l] + 1)
+    return count
+
+
+def orbit_sizes(p: Partition) -> dict:
+    """Number of elemental facets in each orbit, by direct labelling."""
+    from .setfn import elemental_facet_ids
+
+    out: dict = {}
+    for fid in elemental_facet_ids(p.ground):
+        lab = facet_orbit_label(fid, p)
+        out[lab] = out.get(lab, 0) + 1
+    return out

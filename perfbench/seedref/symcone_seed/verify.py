@@ -1,0 +1,654 @@
+"""End-to-end checks of the structural claims: extreme-ray inventories
+of the reduced cones, the facet-orbit reduction, gap certificates, the
+isolation witnesses separating facet orbits, and exact decomposition
+over the two-block generator family."""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from .cone import (
+    DecomposeResult,
+    conic_decompose,
+    extreme_rays,
+    facet_reduction_check,
+    normalize_ray,
+    psi_p_hrep,
+)
+from .families import family_Un, family_Un_tags, gap_witness_blocks, uniform
+from .partitions import Partition, canonical_partition, covers
+from .setfn import (
+    GroundSet,
+    SetFunction,
+    elements_of,
+    polymatroid_violation,
+    restrict,
+    zhang_yeung_form,
+)
+from .symmetry import (
+    OrbitLabel,
+    SymVector,
+    is_p_symmetric,
+    orbit_count_formula,
+    orbit_labels,
+    orbit_sizes,
+    to_sym,
+)
+
+
+class DecompositionError(ArithmeticError):
+    """The stepwise decomposition produced an inconsistent coefficient."""
+
+
+@dataclass(frozen=True)
+class DecompStep:
+    """One ground-set growth step of the stepwise decomposition.
+
+    `bounds` is the triple (s_{1,g} - s_{1,g-1} headroom, loop-part
+    headroom, boundary headroom) limiting the two new-coordinate
+    excesses `e1` and `e2`; `transferred` is the weight moved onto the
+    rank-raised generators; `coefficients` is the generator-weight map
+    after the step.
+    """
+
+    size: int
+    e1: Fraction
+    e2: Fraction
+    bounds: tuple
+    transferred: Fraction
+    coefficients: dict
+
+
+@dataclass
+class Verdict:
+    """Outcome of one machine check; failures carry a counterexample."""
+
+    claim: str
+    params: dict
+    passed: bool
+    counterexample: object = None
+    elapsed_ms: float = 0.0
+
+
+@dataclass(frozen=True)
+class IsolationWitness:
+    """Function pinned to every facet orbit of a context family except one.
+
+    `context` is the coarser partition whose orbit is being split; None
+    stands for the virtual coarsest context in which all facets form a
+    single orbit (used above the one-block partition).
+    """
+
+    partition: Partition
+    target: OrbitLabel
+    context: Optional[Partition]
+    context_label: Optional[OrbitLabel]
+    function: SetFunction
+
+
+def _timed(claim: str, params: dict, run) -> Verdict:
+    start = time.perf_counter()
+    passed, counterexample = run()
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return Verdict(claim, params, passed, counterexample, elapsed)
+
+
+def _free_svector(h: SetFunction, p: Partition) -> tuple:
+    return to_sym(h, p).free_values()
+
+
+def _ray_set_comparison(cone, expected_functions, p):
+    """Compare enumerated rays against normalized reduced vectors."""
+    rays = extreme_rays(cone)
+    got = {r.direction for r in rays}
+    want = {
+        normalize_ray(_free_svector(h, p)).direction for h in expected_functions
+    }
+    if got == want:
+        return True, None
+    return False, {
+        "extra": sorted(got - want),
+        "missing": sorted(want - got),
+    }
+
+
+def verify_psi_n(n: int) -> Verdict:
+    """The fully symmetric cone has exactly the uniform-matroid rays,
+    each tight on all facet rows but one."""
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    p = canonical_partition((n,))
+    cone = psi_p_hrep(p)
+
+    def run():
+        ok, bad = _ray_set_comparison(cone, [uniform(m, n) for m in range(1, n + 1)], p)
+        if not ok:
+            return False, bad
+        labels = [label for _, label in cone.rows]
+        for m in range(1, n + 1):
+            vec = _free_svector(uniform(m, n), p)
+            tight = set(map(str, cone.tight_labels(vec)))
+            skipped = (
+                OrbitLabel((1,), (0,)) if m == n else OrbitLabel((2,), (m - 1,))
+            )
+            expected = {str(lab) for lab in labels if lab != skipped}
+            if tight != expected:
+                return False, {"rank": m, "tight": sorted(tight)}
+        return True, None
+
+    return _timed("psi-rays", {"n": n}, run)
+
+
+def verify_psi_1n1(n: int) -> Verdict:
+    """The singleton-block cone has exactly the generator-family rays."""
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    p = canonical_partition((1, n - 1))
+    cone = psi_p_hrep(p)
+
+    def run():
+        family = family_Un(n)
+        if len(family) != 1 + (n - 1) + n * (n - 1) // 2:
+            return False, {"family_size": len(family)}
+        return _ray_set_comparison(cone, family, p)
+
+    return _timed("two-block-rays", {"n": n}, run)
+
+
+def verify_facet_bijection(p: Partition) -> Verdict:
+    """Distinct reduced facets match the orbit labels and their count."""
+
+    def run():
+        expected = orbit_count_formula(p)
+        labels = orbit_labels(p)
+        direct = orbit_sizes(p)
+        if len(labels) != expected or set(direct) != set(labels):
+            return False, {
+                "formula": expected,
+                "enumerated": len(labels),
+                "direct": len(direct),
+            }
+        if not facet_reduction_check(p):
+            return False, {"reduction": str(p)}
+        return True, None
+
+    return _timed("facet-orbits", {"partition": str(p)}, run)
+
+
+def two_block_coarsening(p: Partition) -> Optional[Partition]:
+    """A coarsening of p into two groups of blocks, both of size >= 2."""
+    t = p.t
+    for pick in range(1, 1 << (t - 1)):  # block 0 always in the first group
+        sel = pick << 1 | 1
+        first = 0
+        second = 0
+        for i in range(t):
+            if sel >> i & 1:
+                first |= p.blocks[i]
+            else:
+                second |= p.blocks[i]
+        if second and first.bit_count() >= 2 and second.bit_count() >= 2:
+            return Partition(p.ground, (first, second))
+    return None
+
+
+def verify_gap(p: Partition) -> Verdict:
+    """A symmetric polymatroid in the reduced cone violating the
+    four-variable non-Shannon inequality on a restriction.
+
+    Applicable to two-block partitions with both blocks >= 2 and to
+    finer partitions coarsenable to one; for the one-block partition or
+    a two-block partition with a singleton block no such witness exists
+    (those cones are exactly the closed symmetric entropic regions), so
+    the request is rejected.
+    """
+    if p.t == 2 and min(p.block_sizes) >= 2:
+        coarse = p
+    elif p.t >= 3:
+        coarse = two_block_coarsening(p)
+        if coarse is None:
+            raise ValueError(
+                f"no two-block coarsening of {p} has both blocks of size >= 2"
+            )
+    else:
+        raise ValueError(
+            "no gap witness exists: with one block, or two blocks one of "
+            "which is a singleton, the reduced cone is exactly the closure "
+            "of the symmetric entropic region"
+        )
+
+    def run():
+        witness = gap_witness_blocks(coarse)
+        bad = polymatroid_violation(witness)
+        if bad is not None:
+            return False, {"violated": str(bad)}
+        if not is_p_symmetric(witness, p):
+            return False, {"symmetry": str(p)}
+        cone = psi_p_hrep(p)
+        vec = _free_svector(witness, p)
+        if not cone.contains(vec):
+            return False, {"membership": [str(x) for x in vec]}
+        special = elements_of(coarse.blocks[0])[:2]
+        other = elements_of(coarse.blocks[1])[:2]
+        chosen = sorted(special + other)
+        mask = 0
+        for e in chosen:
+            mask |= 1 << (e - 1)
+        restricted = restrict(witness, mask)
+        roles = tuple(chosen.index(e) + 1 for e in special + other)
+        value = zhang_yeung_form(GroundSet(4), roles).evaluate(restricted)
+        if value != -1:
+            return False, {"zy_value": str(value)}
+        return True, None
+
+    return _timed("gap", {"partition": str(p), "coarsening": str(coarse)}, run)
+
+
+# ---------------------------------------------------------------------------
+# Isolation witnesses
+
+
+def _merge_positions(p: Partition, context: Partition) -> tuple:
+    """Positions (u, v) of the two p-blocks merged in the context, plus
+    the map from p-block position to context-block position."""
+    posmap = []
+    for b in p.blocks:
+        idx = next(i for i, cb in enumerate(context.blocks) if cb & b)
+        if b & ~context.blocks[idx]:
+            raise ValueError("context does not coarsen the partition")
+        posmap.append(idx)
+    merged = [i for i in range(p.t) if posmap.count(posmap[i]) == 2]
+    if len(merged) != 2:
+        raise ValueError("context must merge exactly two blocks")
+    return merged[0], merged[1], tuple(posmap)
+
+
+def collapse_label(label: OrbitLabel, p: Partition, context: Partition) -> OrbitLabel:
+    """Label of the context orbit containing the labelled p-orbit."""
+    _, _, posmap = _merge_positions(p, context)
+    t2 = context.t
+    li = [0] * t2
+    lk = [0] * t2
+    for i in range(p.t):
+        li[posmap[i]] += label.lambda_I[i]
+        lk[posmap[i]] += label.lambda_K[i]
+    if sum(li) == 1:
+        lk = [0] * t2
+    return OrbitLabel(tuple(li), tuple(lk))
+
+
+def _support_rank_witness(p: Partition, positions, rank: int) -> SetFunction:
+    """Uniform rank on the union of the given blocks, loops elsewhere."""
+    support = 0
+    for pos in positions:
+        support |= p.blocks[pos]
+    return SetFunction.from_callable(
+        p.ground, lambda a: Fraction(min(rank, (a & support).bit_count()))
+    )
+
+
+def _count_witness(p: Partition, pos: int) -> SetFunction:
+    """Counting rank |A intersect block|: free on one block, loops elsewhere."""
+    block = p.blocks[pos]
+    return SetFunction.from_callable(
+        p.ground, lambda a: Fraction((a & block).bit_count())
+    )
+
+
+def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
+    """Reduced values of the witness isolating a split-pair orbit.
+
+    Piecewise on the four index blocks split at (l1, l2) = (k1+1, k2+1):
+    bilinear inside the low-low and high-high blocks, with corrected
+    linear pieces on the two mixed blocks.
+    """
+    l1, l2 = k1 + 1, k2 + 1
+    grid = {}
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
+            if (i <= l1 and j <= l2) or (i > l1 and j > l2):
+                v = i * n2 + j * n1 - i * j
+            elif i <= l1:  # j > l2
+                v = (
+                    j * l1
+                    - (j - l2) * max(0, l1 - i - 1)
+                    + i * (n2 - j)
+                    + j * (n1 - l1)
+                )
+            else:  # i > l1, j <= l2
+                v = (
+                    i * l2
+                    - (i - l1) * max(0, l2 - j - 1)
+                    + j * (n1 - i)
+                    + i * (n2 - l2)
+                )
+            grid[(i, j)] = Fraction(v)
+    return grid
+
+
+def _mixed_pair_witness(p: Partition, u: int, v: int, ku: int, kv: int) -> SetFunction:
+    grid = _mixed_pair_grid(
+        p.blocks[u].bit_count(), p.blocks[v].bit_count(), ku, kv
+    )
+    bu, bv = p.blocks[u], p.blocks[v]
+    return SetFunction.from_callable(
+        p.ground, lambda a: grid[((a & bu).bit_count(), (a & bv).bit_count())]
+    )
+
+
+def build_isolation(
+    p: Partition, target: OrbitLabel, context: Optional[Partition]
+) -> IsolationWitness:
+    """Construct the explicit witness isolating a facet orbit.
+
+    With `context=None` (all facets one orbit) the partition must have a
+    single block and the uniform matroids do the job.  Otherwise the
+    context must merge exactly two blocks of p; the witness is a
+    counting rank, a truncated counting rank, a uniform rank supported
+    on two or three blocks, or the piecewise split-pair function,
+    depending on where the target label touches the merged pair.
+    """
+    if target not in set(orbit_labels(p)):
+        raise ValueError(f"label {target} does not name a facet orbit of {p}")
+    if context is None:
+        if p.t != 1:
+            raise ValueError(
+                "the virtual all-facets context applies only to the "
+                "one-block partition"
+            )
+        n = p.n
+        if target.kind == "A":
+            fn = uniform(n, n)
+        else:
+            fn = uniform(target.lambda_K[0] + 1, n)
+        return IsolationWitness(p, target, None, None, fn)
+
+    if not covers(context, p):
+        raise ValueError("context must merge exactly two blocks of the partition")
+    u, v, _ = _merge_positions(p, context)
+    ctx_label = collapse_label(target, p, context)
+    touched = [i - 1 for i in target.blocks_touched()]
+    k = target.lambda_K
+
+    if all(i in (u, v) for i in touched):
+        if target.kind == "A":
+            fn = _count_witness(p, touched[0])
+        elif target.kind == "C":
+            pos = touched[0]
+            fn = _support_rank_witness(p, [pos], k[pos] + 1)
+        else:
+            fn = _mixed_pair_witness(p, u, v, k[u], k[v])
+    elif target.kind == "A":
+        fn = _count_witness(p, touched[0])
+    elif target.kind == "C":
+        (l,) = touched
+        fn = _support_rank_witness(p, [u, l], k[u] + k[l] + 1)
+    else:  # B label with at most one leg in the merged pair
+        legs_in = [i for i in touched if i in (u, v)]
+        if legs_in:
+            x = legs_in[0]
+            l = next(i for i in touched if i != x)
+            fn = _support_rank_witness(p, [x, l], k[x] + k[l] + 1)
+        else:
+            l1, l2 = touched
+            fn = _support_rank_witness(
+                p, [u, l1, l2], k[u] + k[l1] + k[l2] + 1
+            )
+    return IsolationWitness(p, target, context, ctx_label, fn)
+
+
+def check_isolation(w: IsolationWitness) -> Verdict:
+    """Verify the three isolation conditions exactly.
+
+    Membership in the reduced cone, strict slack on the target orbit's
+    row, equality on every other row of the context family.
+    """
+    p = w.partition
+
+    def run():
+        bad = polymatroid_violation(w.function)
+        if bad is not None:
+            return False, {"violated": str(bad)}
+        if not is_p_symmetric(w.function, p):
+            return False, {"symmetry": str(p)}
+        cone = psi_p_hrep(p)
+        vec = _free_svector(w.function, p)
+        values = dict(zip((label for _, label in cone.rows), cone.row_values(vec)))
+        if w.context is None:
+            family = list(values)
+        else:
+            family = [
+                lab
+                for lab in values
+                if collapse_label(lab, p, w.context) == w.context_label
+            ]
+        if w.target not in family:
+            return False, {"family": [str(lab) for lab in family]}
+        for lab in family:
+            val = values[lab]
+            if lab == w.target:
+                if val <= 0:
+                    return False, {"label": str(lab), "value": str(val)}
+            elif val != 0:
+                return False, {"label": str(lab), "value": str(val)}
+        return True, None
+
+    return _timed(
+        "isolation",
+        {
+            "partition": str(p),
+            "target": str(w.target),
+            "context": str(w.context) if w.context else "all-facets",
+        },
+        run,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Decomposition over the two-block generator family
+
+
+def _family_vectors(n: int, p: Partition) -> list:
+    return [_free_svector(h, p) for h in family_Un(n)]
+
+
+def decompose_1n(h: SetFunction, n: int, strategy: str = "lp") -> DecomposeResult:
+    """Nonnegative coefficients over the generator family reconstructing h.
+
+    `strategy="lp"` solves the exact conic program directly.
+    `strategy="inductive"` rebuilds the coefficients dimension by
+    dimension through the two new coordinates added at each ground-set
+    growth step; it requires a point inside the cone and falls back to
+    the LP to produce the certificate otherwise.  Both strategies
+    verify their reconstruction exactly.
+    """
+    if h.n != n or n < 2:
+        raise ValueError("function size does not match n (need n >= 2)")
+    p = canonical_partition((1, n - 1))
+    svec = to_sym(h, p)
+    target = svec.free_values()
+    vectors = _family_vectors(n, p)
+    if strategy == "lp":
+        return conic_decompose(target, vectors)
+    if strategy != "inductive":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not psi_p_hrep(p).contains(target):
+        return conic_decompose(target, vectors)
+    coeffs, _ = _inductive_coefficients(svec, n)
+    ordered = []
+    for tag in family_Un_tags(n):
+        if tag.startswith("u1loop"):
+            ordered.append(coeffs.get("u1loop", Fraction(0)))
+        else:
+            knum, mnum, _ = (int(x) for x in tag.split(":")[1].split(","))
+            ordered.append(coeffs.get((knum, mnum), Fraction(0)))
+    recon = [
+        sum(ordered[j] * vectors[j][i] for j in range(len(vectors)))
+        for i in range(len(target))
+    ]
+    if recon != list(target) or any(c < 0 for c in ordered):
+        raise DecompositionError("stepwise coefficients fail to reconstruct")
+    return DecomposeResult(True, coefficients=tuple(ordered))
+
+
+def generator_class_triple(u: SetFunction, n: int) -> tuple:
+    """Headroom triple classifying a generator for the stepwise lift.
+
+    The entries are u_{1,n-1} - u_{1,n-2}, u_{1,n-1} - u_{0,n-1} and
+    u_{0,n-1} - u_{0,n-2}; over the generator family they take only the
+    four values (0,1,0), (1,0,1), (0,0,1) and (0,0,0).
+    """
+    p = canonical_partition((1, n - 1))
+    s = to_sym(u, p)
+    return (
+        s[(1, n - 1)] - s[(1, n - 2)],
+        s[(1, n - 1)] - s[(0, n - 1)],
+        s[(0, n - 1)] - s[(0, n - 2)],
+    )
+
+
+def _inductive_coefficients(svec: SymVector, n: int) -> tuple:
+    """Lift a base decomposition through each added pair of coordinates.
+
+    At ground size g+1 the two new coordinates exceed the old boundary
+    ones by e1 and e1+e2; the published redistribution keeps every
+    coefficient nonnegative exactly when the transferred amount is
+    max(0, e1+e2-b), which is what is used here (a stated lower bound
+    of e1+e2 would contradict nonnegativity whenever e1 > 0; the
+    reconstruction identity holds for any transferred amount).
+
+    Returns the final generator-weight map and one DecompStep per lift.
+    """
+
+    def s(j1: int, j2: int) -> Fraction:
+        return svec[(j1, j2)]
+
+    base = conic_decompose(
+        (s(0, 1), s(1, 0), s(1, 1)),
+        [(Fraction(0), Fraction(1), Fraction(1)),
+         (Fraction(1), Fraction(0), Fraction(1)),
+         (Fraction(1), Fraction(1), Fraction(1))],
+    )
+    if not base.feasible:
+        raise DecompositionError("base point left the cone")
+    coeffs = {
+        "u1loop": base.coefficients[0],
+        (1, 1): base.coefficients[1],
+        (1, 2): base.coefficients[2],
+    }
+    steps = []
+    for g in range(2, n):
+        e1 = s(1, g) - s(1, g - 1)
+        e2 = s(0, g) - s(0, g - 1) - e1
+        bounds = (
+            s(1, g - 1) - s(1, g - 2),
+            s(1, g - 1) - s(0, g - 1),
+            s(0, g - 1) - s(0, g - 2),
+        )
+        if not (0 <= e1 <= bounds[0] and 0 <= e2 <= min(bounds[1], bounds[2] - e1)):
+            raise DecompositionError("new-coordinate excess out of range")
+        a = coeffs.get("u1loop", Fraction(0))
+        b = coeffs.get((g - 1, g - 1), Fraction(0))
+        c_terms = {m: coeffs.get((g - 1, m), Fraction(0)) for m in range(g, 2 * g - 1)}
+        d_terms = {
+            key: val
+            for key, val in coeffs.items()
+            if isinstance(key, tuple) and key[0] <= g - 2
+        }
+        transfer = max(Fraction(0), e1 + e2 - b)
+        c_prime = {}
+        left = transfer
+        for m in sorted(c_terms):
+            take = min(c_terms[m], e2, left)
+            c_prime[m] = take
+            left -= take
+        if left != 0:
+            raise DecompositionError("cannot place the transferred weight")
+        new = {"u1loop": a - e2}
+        new[(g - 1, g)] = b - e1 - e2 + transfer
+        new[(g, g)] = e1
+        new[(g, g + 1)] = e2 - transfer
+        for m, val in c_terms.items():
+            new[(g - 1, m + 1)] = new.get((g - 1, m + 1), Fraction(0)) + val - c_prime[m]
+            new[(g, m + 2)] = new.get((g, m + 2), Fraction(0)) + c_prime[m]
+        for (kk, mm), val in d_terms.items():
+            new[(kk, mm + 1)] = new.get((kk, mm + 1), Fraction(0)) + val
+        if any(val < 0 for val in new.values()):
+            raise DecompositionError("negative coefficient in the lifted step")
+        coeffs = new
+        steps.append(DecompStep(g + 1, e1, e2, bounds, transfer, dict(coeffs)))
+    return coeffs, steps
+
+
+def inductive_lift_steps(h: SetFunction, n: int) -> list:
+    """Per-step records of the stepwise decomposition of an in-cone point."""
+    p = canonical_partition((1, n - 1))
+    _, steps = _inductive_coefficients(to_sym(h, p), n)
+    return steps
+
+
+# ---------------------------------------------------------------------------
+# Suite runner
+
+
+def run_suite(
+    psi_sizes=(2, 3, 4, 5, 6, 7),
+    two_block_sizes=(2, 3, 4, 5),
+    bijection_max_n=5,
+    gap_parts=((2, 2), (2, 3), (3, 3)),
+    isolation_max_n=5,
+    seed: int = 0,
+) -> list:
+    """Run the whole battery at the given sizes and collect verdicts."""
+    from .partitions import canonical_representatives
+
+    verdicts = []
+    for n in psi_sizes:
+        verdicts.append(verify_psi_n(n))
+    for n in two_block_sizes:
+        verdicts.append(verify_psi_1n1(n))
+    for n in range(2, bijection_max_n + 1):
+        for p in canonical_representatives(n):
+            verdicts.append(verify_facet_bijection(p))
+    for parts in gap_parts:
+        verdicts.append(verify_gap(canonical_partition(tuple(sorted(parts)))))
+    for n in range(2, isolation_max_n + 1):
+        for p in canonical_representatives(n):
+            if p.t != 2:
+                continue
+            context = canonical_partition((p.n,))
+            for label in orbit_labels(p):
+                verdicts.append(check_isolation(build_isolation(p, label, context)))
+    for n in range(2, min(isolation_max_n, 4) + 1):
+        reps = canonical_representatives(n)
+        for p in reps:
+            for context in reps:
+                if not covers(context, p) or context.t == 1:
+                    continue
+                for label in orbit_labels(p):
+                    verdicts.append(check_isolation(build_isolation(p, label, context)))
+    for n in (3, 4):
+        rng_points = 5
+        import random as _random
+
+        rng = _random.Random(seed)
+        gens = family_Un(n)
+        p = canonical_partition((1, n - 1))
+        for _ in range(rng_points):
+            weights = [Fraction(rng.randint(0, 4)) for _ in gens]
+            point = SetFunction(GroundSet(n), (0,) * (1 << n))
+            for w, g in zip(weights, gens):
+                point = point + w * g
+            res = decompose_1n(point, n)
+            verdicts.append(
+                Verdict(
+                    "decompose",
+                    {"n": n},
+                    res.feasible,
+                    None if res.feasible else {"certificate": [str(x) for x in res.certificate]},
+                )
+            )
+    return verdicts
