@@ -310,8 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rays", help="extreme rays with tight orbit labels")
     common(sp)
     env_cap = os.environ.get("SYMCONE_MAX_DIM")
-    sp.add_argument("--max-dim", type=int,
-                    default=int(env_cap) if env_cap else DEFAULT_MAX_DIM)
+    try:
+        default_cap = int(env_cap) if env_cap else DEFAULT_MAX_DIM
+    except ValueError:
+        raise ValueError(
+            f"SYMCONE_MAX_DIM must be an integer, got {env_cap!r}") from None
+    sp.add_argument("--max-dim", type=int, default=default_cap)
     sp.set_defaults(fn=cmd_rays)
 
     sp = sub.add_parser("check", help="test a function file")
@@ -346,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit:
         raise

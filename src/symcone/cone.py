@@ -2,12 +2,14 @@
 conic decomposition.
 
 All coefficient arithmetic is integer or rational.  The extreme-ray
-enumerator is an incremental double description: start from a
-simplicial subcone picked from independent rows, then insert the
-remaining rows one at a time, combining adjacent positive/negative
-ray pairs.  Adjacency is decided by the rank of the common tight rows.
-Conic decomposition is a phase-1 rational simplex with Bland's rule;
-infeasibility yields a separating functional.
+enumerator is an incremental double description over Python ints: one
+fraction-free elimination picks independent rows and inverts them into
+a simplicial subcone, then the remaining rows are inserted one at a
+time, combining adjacent positive/negative ray pairs.  Tight sets are
+int bitmasks and adjacency is combinatorial: no third ray is tight on
+all the rows the pair shares.  Conic decomposition is a phase-1
+rational simplex with Bland's rule; infeasibility yields a separating
+functional.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .partitions import Partition, partition_vector
 from .setfn import (
@@ -245,98 +247,75 @@ def reduced_facet_row(fid, p: Partition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (Fraction Gauss; sizes here are tiny)
+# Exact linear algebra: one fraction-free elimination over Python ints
 
 
-def _echelon(rows: Iterable[Sequence]) -> list:
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    out = []
-    pivot_col = 0
-    r = 0
-    while r < len(m) and pivot_col < ncols:
-        piv = next((i for i in range(r, len(m)) if m[i][pivot_col] != 0), None)
-        if piv is None:
-            pivot_col += 1
+def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> list:
+    """Fraction-free Gauss-Jordan elimination, one row at a time.
+
+    Each row is reduced against the pivot rows kept so far and is kept
+    when it is nonzero on its first `ncols` entries.  Its first nonzero
+    entry there becomes its pivot, which is cleared from every earlier
+    pivot row, so each pivot row is zero in all other pivot columns.
+    Every reduced row is divided by its content.  Stops at `ncols`
+    pivots.  Returns `(index, pivot_col, row)` for each kept row: the
+    first rows spanning the row space of the first `ncols` columns.
+    """
+    kept: list = []
+    for index, row in enumerate(rows):
+        v = list(row)
+        for _, col, r in kept:
+            f = v[col]
+            if f:
+                p = r[col]
+                v = [p * a - f * b for a, b in zip(v, r)]
+        col = next((j for j in range(ncols) if v[j]), None)
+        if col is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][pivot_col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][pivot_col] != 0:
-                f = m[i][pivot_col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        out.append((r, pivot_col))
-        r += 1
-        pivot_col += 1
-    return m, out
+        v = _content_normalize(v)
+        for k, (i, c, r) in enumerate(kept):
+            f = r[col]
+            if f:
+                p = v[col]
+                kept[k] = (i, c, _content_normalize(
+                    [p * a - f * b for a, b in zip(r, v)]))
+        kept.append((index, col, v))
+        if len(kept) == ncols:
+            break
+    return kept
 
 
-def _row_rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
-
-
-def _kernel_direction(rows, dim: int) -> Optional[tuple]:
-    """A nonzero integer vector orthogonal to all rows, if one exists."""
-    if not rows:
-        return tuple([1] + [0] * (dim - 1)) if dim else None
-    m, pivots = _echelon(rows)
-    pivot_cols = {c for _, c in pivots}
-    free_col = next((c for c in range(dim) if c not in pivot_cols), None)
-    if free_col is None:
-        return None
-    x = [Fraction(0)] * dim
-    x[free_col] = Fraction(1)
-    for r, c in reversed(pivots):
-        x[c] = -sum(m[r][j] * x[j] for j in range(c + 1, dim))
-    return _content_normalize(_clear_denominators(x))
-
-
-def _greedy_basis(rows, dim: int) -> list:
-    """Indices of the first rows forming a full-rank square system."""
-    chosen: list = []
-    basis_rows: list = []
-    for i, row in enumerate(rows):
-        if _row_rank(basis_rows + [row]) > len(basis_rows):
-            chosen.append(i)
-            basis_rows.append(row)
-            if len(chosen) == dim:
-                return chosen
-    return chosen
-
-
-def _solve_unit(square_rows, j: int) -> tuple:
-    """Integer solution of B x = c * e_j with c > 0."""
-    d = len(square_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)]
-           for i, row in enumerate(square_rows)]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    x = [aug[i][d] for i in range(d)]
-    return _content_normalize(_clear_denominators(x))
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _inverse_columns(square: Sequence[Sequence[int]]) -> list:
+    """Primitive positive multiples of the columns of B^-1, for a
+    full-rank square integer B, from one elimination of `[B | I]`."""
+    d = len(square)
+    reduced = _eliminate(
+        [tuple(row) + tuple(int(j == k) for j in range(d))
+         for k, row in enumerate(square)],
+        d,
+    )
+    denom = lcm(*(r[c] for _, c, r in reduced))
+    columns = []
+    for j in range(d):
+        x = [0] * d
+        for _, c, r in reduced:
+            x[c] = r[d + j] * denom // r[c]
+        columns.append(_content_normalize(x))
+    return columns
 
 
 def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     """All extreme rays of a pointed cone, lexicographically sorted.
 
-    Rows are inserted in ascending tight-ray-count order; the order is
-    a heuristic only and the output is independent of it.
+    One integer elimination checks that the rows have full rank and
+    picks the first `dim` independent rows as a basis B; the primitive
+    columns of B^-1 are the rays of the starting simplicial cone.  Rows
+    are then inserted in ascending tight-ray-count order (a heuristic
+    only; the output is independent of it).  Each ray carries its tight
+    set over the inserted rows as an int bitmask.  A positive/negative
+    pair is adjacent iff its common tight set has at least `dim - 2`
+    rows and no third ray is tight on all of them (Fukuda & Prodon,
+    1996), so no rank is computed inside the loop.
     """
     d = c.dim
     if d > max_dim:
@@ -344,46 +323,67 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
             f"cone dimension {d} exceeds the enumeration cap {max_dim}"
         )
     all_rows = [coeffs for coeffs, _ in c.rows]
-    if _row_rank(all_rows) < d:
-        raise NotPointedError(_kernel_direction(all_rows, d))
-
-    basis_idx = _greedy_basis(all_rows, d)
+    kept = _eliminate(all_rows, d)
+    basis_idx = [i for i, _, _ in kept]
     square = [all_rows[i] for i in basis_idx]
-    rays = [_solve_unit(square, j) for j in range(d)]
+    if len(kept) < d:
+        # unit rows on the free columns complete the rank; the column of
+        # B^-1 for the first of them is orthogonal to every row
+        pivots = {col for _, col, _ in kept}
+        square += [_unit(d, [j]) for j in range(d) if j not in pivots]
+        raise NotPointedError(_inverse_columns(square)[len(kept)])
+
+    rays = _inverse_columns(square)
+    # tight[k]: bitmask over inserted row indices on which rays[k] is zero
+    basis_mask = sum(1 << i for i in basis_idx)
+    tight = [basis_mask ^ (1 << i) for i in basis_idx]
     processed = list(basis_idx)
     remaining = [i for i in range(len(all_rows)) if i not in set(basis_idx)]
+    sparse = c._sparse
 
     while remaining:
-        best = min(
-            remaining,
-            key=lambda i: (sum(1 for r in rays if _dot(all_rows[i], r) == 0), i),
-        )
+        values = {
+            i: [sum(a * r[k] for k, a in sparse[i]) for r in rays]
+            for i in remaining
+        }
+        best = min(remaining, key=lambda i: (values[i].count(0), i))
         remaining.remove(best)
-        row = all_rows[best]
-        vals = [_dot(row, r) for r in rays]
-        pos = [r for r, v in zip(rays, vals) if v > 0]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
+        vals = values[best]
+        bit = 1 << best
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new_rays, new_tight = [], []
         if neg:
-            tight = {
-                id(r): frozenset(
-                    i for i in processed if _dot(all_rows[i], r) == 0
-                )
-                for r in rays
-            }
-            vals_by_id = {id(r): v for r, v in zip(rays, vals)}
-            new_rays = []
-            for rp in pos:
-                for rn, vn in neg:
-                    common = tight[id(rp)] & tight[id(rn)]
-                    if len(common) < d - 2:
+            # incidence[i]: bitmask over current rays tight on row i
+            incidence = dict.fromkeys(processed, 0)
+            for k, mask in enumerate(tight):
+                for i in processed:
+                    if mask >> i & 1:
+                        incidence[i] |= 1 << k
+            everyone = (1 << len(rays)) - 1
+            for kp in pos:
+                rp, vp, tp = rays[kp], vals[kp], tight[kp]
+                for kn in neg:
+                    common = tp & tight[kn]
+                    if common.bit_count() < d - 2:
                         continue
-                    if _row_rank([all_rows[i] for i in common]) != d - 2:
+                    pair = (1 << kp) | (1 << kn)
+                    rest = everyone
+                    for i in processed:
+                        if common >> i & 1:
+                            rest &= incidence[i]
+                            if rest == pair:
+                                break
+                    if rest != pair:
                         continue
-                    vp = vals_by_id[id(rp)]
-                    combo = [vp * y - vn * x for x, y in zip(rp, rn)]
-                    new_rays.append(_content_normalize(combo))
-            rays = pos + zero + new_rays
+                    vn = vals[kn]
+                    new_rays.append(_content_normalize(
+                        [vp * y - vn * x for x, y in zip(rp, rays[kn])]))
+                    new_tight.append(common | bit)
+        rays = [rays[k] for k in pos + zero] + new_rays
+        tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
+                 + new_tight)
         processed.append(best)
 
     return [Ray(r) for r in sorted(rays)]
@@ -472,19 +472,18 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     objective = -obj[-1]
     if objective > 0:
         w = tuple(sign[i] * (obj[k + i] - 1) for i in range(d))
-        assert all(
-            sum(w[i] * g[i] for i in range(d)) >= 0 for g in gens
-        ) and sum(w[i] * target[i] for i in range(d)) < 0
+        if not (all(sum(w[i] * g[i] for i in range(d)) >= 0 for g in gens)
+                and sum(w[i] * target[i] for i in range(d)) < 0):
+            raise ArithmeticError("Farkas certificate does not separate")
         return DecomposeResult(False, certificate=w)
 
     coeffs = [Fraction(0)] * k
     for i, bv in enumerate(basis):
         if bv < k:
             coeffs[bv] = tab[i][-1]
-    assert all(
-        sum(coeffs[j] * gens[j][i] for j in range(k)) == target[i]
-        for i in range(d)
-    )
+    if any(sum(coeffs[j] * gens[j][i] for j in range(k)) != target[i]
+           for i in range(d)):
+        raise ArithmeticError("coefficients do not rebuild the target")
     return DecomposeResult(True, coefficients=tuple(coeffs))
 
 

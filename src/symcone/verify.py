@@ -5,6 +5,7 @@ over the two-block generator family."""
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -631,24 +632,19 @@ def run_suite(
                 for label in orbit_labels(p):
                     verdicts.append(check_isolation(build_isolation(p, label, context)))
     for n in (3, 4):
-        rng_points = 5
-        import random as _random
-
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         gens = family_Un(n)
-        p = canonical_partition((1, n - 1))
-        for _ in range(rng_points):
+        for _ in range(5):
             weights = [Fraction(rng.randint(0, 4)) for _ in gens]
             point = SetFunction(GroundSet(n), (0,) * (1 << n))
             for w, g in zip(weights, gens):
                 point = point + w * g
-            res = decompose_1n(point, n)
-            verdicts.append(
-                Verdict(
-                    "decompose",
-                    {"n": n},
-                    res.feasible,
-                    None if res.feasible else {"certificate": [str(x) for x in res.certificate]},
-                )
-            )
+
+            def run(point=point, n=n):
+                res = decompose_1n(point, n)
+                if res.feasible:
+                    return True, None
+                return False, {"certificate": [str(x) for x in res.certificate]}
+
+            verdicts.append(_timed("decompose", {"n": n}, run))
     return verdicts

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -51,3 +52,65 @@ def random_rational_function(ground: GroundSet, rng: random.Random) -> SetFuncti
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Fraction Gauss elimination, sharing no code with symcone."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _primitive(vec) -> tuple:
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
+def is_certified_ray(rows, vec) -> bool:
+    """`vec` lies in {x : row . x >= 0} and its tight rows have rank dim - 1."""
+    values = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+    tight = [row for row, v in zip(rows, values) if v == 0]
+    return all(v >= 0 for v in values) and fraction_rank(tight) == len(vec) - 1
+
+
+def brute_force_rays(rows, dim: int) -> set:
+    """Extreme rays of {x : row . x >= 0} by brute force over row subsets.
+
+    Walks every independent set of dim - 1 rows, in index order, keeping
+    an integer basis of the kernel of the rows chosen so far.  Each full
+    set leaves a one-dimensional kernel; a direction of it that lies in
+    the cone with tight rows of rank dim - 1 is an extreme ray.
+    """
+    rows = [tuple(r) for r in rows]
+    verdicts: dict = {}
+
+    def walk(start: int, kernel: list) -> None:
+        if len(kernel) == 1:
+            x = _primitive(kernel[0])
+            for vec in (x, tuple(-a for a in x)):
+                if vec not in verdicts:
+                    verdicts[vec] = is_certified_ray(rows, vec)
+            return
+        for j in range(start, len(rows) - len(kernel) + 2):
+            coeffs = [sum(a * b for a, b in zip(rows[j], k)) for k in kernel]
+            p = next((i for i, c in enumerate(coeffs) if c), None)
+            if p is None:
+                continue
+            walk(j + 1, [
+                _primitive([coeffs[p] * a - coeffs[i] * b
+                            for a, b in zip(k, kernel[p])])
+                for i, k in enumerate(kernel) if i != p
+            ])
+
+    walk(0, [tuple(int(i == j) for j in range(dim)) for i in range(dim)])
+    return {vec for vec, ok in verdicts.items() if ok}

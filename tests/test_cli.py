@@ -48,6 +48,12 @@ class TestRays:
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_bad_max_dim_variable_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYMCONE_MAX_DIM", "abc")
+        assert main(["facets", "--n", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "SYMCONE_MAX_DIM" in err[0]
+
 
 class TestCheck:
     def test_zy_violation_exits_one(self, capsys, witness_file):
@@ -111,6 +117,8 @@ class TestVerifySubcommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload and all(entry["pass"] for entry in payload)
         assert {"claim", "params", "pass", "wall_time_ms"} <= set(payload[0])
+        decompose = [e for e in payload if e["claim"] == "decompose"]
+        assert decompose and all(e["wall_time_ms"] > 0 for e in decompose)
 
 
 class TestJsonSchemas:

@@ -1,5 +1,8 @@
-import random
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -26,9 +29,10 @@ from symcone import (
     u1_loop,
     uniform,
 )
-from symcone.cone import _row_rank
 from symcone.setfn import elemental_facet_ids
 from symcone.symmetry import facet_orbit_label
+
+from conftest import brute_force_rays, fraction_rank, is_certified_ray
 
 
 def svec(h, p):
@@ -133,7 +137,7 @@ class TestExtremeRays:
             tight_rows = [
                 coeffs for (coeffs, _), v in zip(cone.rows, values) if v == 0
             ]
-            assert _row_rank(tight_rows) == dim - 1
+            assert fraction_rank(tight_rows) == dim - 1
         # every facet row supports dim-1 independent tight rays
         for coeffs, _ in cone.rows:
             tight_rays = [
@@ -141,7 +145,7 @@ class TestExtremeRays:
                 for r in rays
                 if sum(c * x for c, x in zip(coeffs, r.direction)) == 0
             ]
-            assert _row_rank(tight_rays) == dim - 1
+            assert fraction_rank(tight_rays) == dim - 1
 
     def test_full_cone_on_four_elements(self):
         cone = gamma_n_hrep(GroundSet(4))
@@ -151,7 +155,7 @@ class TestExtremeRays:
             values = cone.row_values(ray.direction)
             assert all(v >= 0 for v in values)
             tight = [c for (c, _), v in zip(cone.rows, values) if v == 0]
-            assert _row_rank(tight) == cone.dim - 1
+            assert fraction_rank(tight) == cone.dim - 1
 
     def test_each_ray_is_irredundant(self):
         for parts in ((4,), (1, 3)):
@@ -167,6 +171,63 @@ class TestExtremeRays:
         assert normalize_ray((-2, -4)).direction == (1, 2)
         with pytest.raises(ValueError):
             Ray((2, 4))
+
+
+def random_pointed_rows(dim, rng):
+    """Distinct primitive integer rows of full rank, so the cone is pointed.
+
+    Rows are oriented to keep a random positive point inside, and entries
+    in {-1, 0, 1} make many rays tight on more than dim - 1 rows.
+    """
+    inside = [rng.randint(1, 3) for _ in range(dim)]
+    while True:
+        rows = set()
+        for _ in range(rng.randint(dim, 2 * dim + 2)):
+            row = [rng.randint(-1, 1) for _ in range(dim)]
+            if sum(a * b for a, b in zip(row, inside)) < 0:
+                row = [-a for a in row]
+            if any(row):
+                rows.add(tuple(x // gcd(*row) for x in row))
+        rows = sorted(rows)
+        if fraction_rank(rows) == dim:
+            return rows
+
+
+class TestRayOracle:
+    def test_random_pointed_cones(self, rng):
+        for dim in range(2, 7):
+            for _ in range(20):
+                rows = random_pointed_rows(dim, rng)
+                cone = HCone(dim, tuple((row, i) for i, row in enumerate(rows)))
+                got = {r.direction for r in extreme_rays(cone)}
+                assert got == brute_force_rays(rows, dim)
+
+    def test_reduced_cones_up_to_four_elements(self):
+        for n in (2, 3, 4):
+            for p in canonical_representatives(n):
+                cone = psi_p_hrep(p)
+                rows = [coeffs for coeffs, _ in cone.rows]
+                got = {r.direction for r in extreme_rays(cone)}
+                if p.block_sizes == (1, 1, 1, 1):
+                    # C(28, 14) subsystems are out of reach; certify each
+                    # ray and check the 41 rays of the full four-element cone
+                    assert len(got) == 41
+                    assert all(is_certified_ray(rows, ray) for ray in got)
+                else:
+                    assert got == brute_force_rays(rows, cone.dim)
+
+
+class TestFrontierShapes:
+    @pytest.mark.parametrize("parts,count", [
+        ((1, 2, 2), 378), ((2, 5), 320), ((1, 1, 4), 416), ((3, 4), 1546),
+    ], ids=["1_2_2", "2_5", "1_1_4", "3_4"])
+    def test_ray_counts(self, parts, count):
+        cone = psi_p_hrep(canonical_partition(parts))
+        rays = extreme_rays(cone)
+        assert len(rays) == count
+        if parts != (3, 4):
+            rows = [coeffs for coeffs, _ in cone.rows]
+            assert all(is_certified_ray(rows, r.direction) for r in rays)
 
 
 class TestContains:
@@ -218,6 +279,23 @@ class TestConicDecompose:
             w = res.certificate
             assert all(sum(a * b for a, b in zip(w, g)) >= 0 for g in gens)
             assert sum(a * b for a, b in zip(w, vec)) < 0
+
+    def test_checks_survive_optimized_mode(self):
+        script = (
+            "from symcone import conic_decompose\n"
+            "gens = [(1, 0), (1, 1)]\n"
+            "print(__debug__)\n"
+            "print(*conic_decompose((3, 1), gens).coefficients)\n"
+            "print(*conic_decompose((0, 1), gens).certificate)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True,
+            text=True, check=True, env=env,
+        ).stdout.splitlines()
+        assert out[:2] == ["False", "2 1"]
+        w = [Fraction(x) for x in out[2].split()]
+        assert w[0] >= 0 and w[0] + w[1] >= 0 and w[1] < 0
 
     def test_empty_generator_list(self):
         res = conic_decompose((0, 0), [])
