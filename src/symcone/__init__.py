@@ -39,13 +39,10 @@ from .partitions import (
     refines,
 )
 from .symmetry import (
-    BlockPermutation,
     OrbitLabel,
     SymIndexSet,
     SymVector,
     SymmetryError,
-    apply_to_function,
-    block_permutations,
     facet_orbit_label,
     from_sym,
     is_p_symmetric,
@@ -61,7 +58,6 @@ from .cone import (
     NotPointedError,
     Ray,
     conic_decompose,
-    contains,
     extreme_rays,
     facet_reduction_check,
     gamma_n_hrep,

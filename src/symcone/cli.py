@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cone import DEFAULT_MAX_DIM, extreme_rays, psi_p_hrep
-from .families import build_family
+from .families import build_family, family_Un_tags
 from .partitions import Partition, canonical_partition
 from .setfn import (
     GroundSet,
@@ -43,25 +43,20 @@ def _read_function(path: str, n=None) -> SetFunction:
         return SetFunction.from_text(fh.read(), n=n)
 
 
-def _parse_partition(args) -> Partition:
-    if args.n is None:
-        raise ValueError("--n is required for this subcommand")
-    ground = GroundSet(args.n)
+def _parse_partition(args, ground=None) -> Partition:
+    """`--partition` over `ground` (default: `--n` elements), or one block."""
+    if ground is None:
+        if args.n is None:
+            raise ValueError("--n is required for this subcommand")
+        ground = GroundSet(args.n)
     if args.partition is None:
-        return canonical_partition((args.n,), ground)
+        return canonical_partition((ground.n,), ground)
     return Partition.parse(args.partition, ground)
 
 
 def _emit(payload, fmt: str, text_renderer):
     if fmt == "json":
         print(json.dumps(_jsonify(payload), indent=2, sort_keys=True))
-    elif fmt == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        for row in rows:
-            if isinstance(row, dict):
-                print(",".join(str(_jsonify(v)) for v in row.values()))
-            else:
-                print(",".join(str(x) for x in row))
     else:
         text_renderer(payload)
 
@@ -69,9 +64,6 @@ def _emit(payload, fmt: str, text_renderer):
 def cmd_facets(args) -> int:
     p = _parse_partition(args)
     cone = psi_p_hrep(p)
-    if args.format == "text":
-        print(cone.to_text())
-        return 0
     payload = {
         "dim": cone.dim,
         "coords": [",".join(map(str, c)) for c in cone.coords],
@@ -80,7 +72,7 @@ def cmd_facets(args) -> int:
             for coeffs, label in cone.rows
         ],
     }
-    _emit(payload, args.format, lambda pl: print(pl))
+    _emit(payload, args.format, lambda _: print(cone.to_text()))
     return 0
 
 
@@ -103,11 +95,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_project(args) -> int:
     h = _read_function(args.function, n=args.n)
-    ground = h.ground
-    if args.partition is None:
-        p = canonical_partition((ground.n,), ground)
-    else:
-        p = Partition.parse(args.partition, ground)
+    p = _parse_partition(args, h.ground)
     image = symmetrize(h, p)
     svec = to_sym(image, p)
 
@@ -181,9 +169,7 @@ def cmd_check(args) -> int:
         results["matroid"] = {"pass": ok}
         failed = failed or not ok
     if "member" in wanted:
-        p = Partition.parse(args.partition, h.ground) if args.partition else (
-            canonical_partition((h.n,), h.ground)
-        )
+        p = _parse_partition(args, h.ground)
         vec = to_sym(h, p).free_values()
         ok = psi_p_hrep(p).contains(vec)
         results["member"] = {"pass": ok, "partition": str(p)}
@@ -208,8 +194,6 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     h = _read_function(args.function, n=args.n)
     res = decompose_1n(h, h.n, strategy=args.strategy)
-    from .families import family_Un_tags
-
     if res.feasible:
         payload = {
             "feasible": True,
@@ -291,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         if function:
             sp.add_argument("--function", type=str, required=True,
                             help="path to a 'mask value' set-function file")
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("facets", help="reduced facet system with orbit labels")
     common(sp)
@@ -338,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the verification battery")
     common(sp, partition=False)
     sp.add_argument("--n-max", type=int, default=5)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the random points of the decomposition checks")
     sp.set_defaults(fn=cmd_verify, format="json")
 
     sp = sub.add_parser("family", help="print a named family member")

@@ -21,6 +21,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .families import random_symmetric_function
 from .partitions import Partition, partition_vector
 from .setfn import (
     GroundSet,
@@ -53,10 +54,8 @@ def _content_normalize(vec: Sequence[int]) -> tuple:
 
 def _clear_denominators(vec) -> tuple:
     fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return tuple(int(f * lcm) for f in fracs)
+    m = lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * m) for f in fracs)
 
 
 @dataclass(frozen=True)
@@ -162,19 +161,8 @@ class HCone:
         return "\n".join(lines)
 
 
-def contains(c: HCone, v: Sequence) -> bool:
-    return c.contains(v)
-
-
 # ---------------------------------------------------------------------------
 # H-representations
-
-
-def _unit(t: int, positions, weight: int = 1) -> tuple:
-    out = [0] * t
-    for pos in positions:
-        out[pos] += weight
-    return tuple(out)
 
 
 def psi_p_hrep(p: Partition) -> HCone:
@@ -330,7 +318,8 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
         # unit rows on the free columns complete the rank; the column of
         # B^-1 for the first of them is orthogonal to every row
         pivots = {col for _, col, _ in kept}
-        square += [_unit(d, [j]) for j in range(d) if j not in pivots]
+        square += [tuple(int(i == j) for i in range(d))
+                   for j in range(d) if j not in pivots]
         raise NotPointedError(_inverse_columns(square)[len(kept)])
 
     rays = _inverse_columns(square)
@@ -500,8 +489,6 @@ def facet_reduction_check(p: Partition, samples: int = 20, seed: int = 0) -> boo
     the full elemental cone and in the reduced cone agree on random
     symmetric functions.
     """
-    from .families import random_symmetric_function
-
     reduced = psi_p_hrep(p)
     by_label = {label: coeffs for coeffs, label in reduced.rows}
     if len(by_label) != len(reduced.rows):

@@ -46,13 +46,6 @@ class Partition:
     def block_sizes(self) -> tuple:
         return tuple(b.bit_count() for b in self.blocks)
 
-    def block_of(self, element: int) -> int:
-        m = self.ground.singleton(element)
-        for idx, b in enumerate(self.blocks):
-            if b & m:
-                return idx
-        raise ValueError(f"element {element} not covered")  # unreachable
-
     def __str__(self) -> str:
         return "|".join(
             ",".join(str(e) for e in elements_of(b)) for b in self.blocks

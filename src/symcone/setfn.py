@@ -157,18 +157,14 @@ class SetFunction:
 class LinearForm:
     """Sparse homogeneous linear form over set-function coordinates.
 
-    `sense` is ">=0" for an inequality or "==0" for an equality; the
-    coefficient of the empty set is dropped (it never matters on the
+    The coefficient of the empty set is dropped (it never matters on the
     space of functions vanishing on the empty set).
     """
 
     ground: GroundSet
     coeffs: tuple  # sorted ((mask, Fraction), ...), no empty-set entry
-    sense: str = ">=0"
 
     def __post_init__(self) -> None:
-        if self.sense not in (">=0", "==0"):
-            raise ValueError(f"bad sense {self.sense!r}")
         norm = tuple(
             sorted((m, Fraction(c)) for m, c in self.coeffs if m != 0 and c != 0)
         )
@@ -178,8 +174,8 @@ class LinearForm:
         object.__setattr__(self, "coeffs", norm)
 
     @classmethod
-    def make(cls, ground: GroundSet, coeffs: dict, sense: str = ">=0") -> "LinearForm":
-        return cls(ground, tuple(coeffs.items()), sense)
+    def make(cls, ground: GroundSet, coeffs: dict) -> "LinearForm":
+        return cls(ground, tuple(coeffs.items()))
 
     def evaluate(self, f: SetFunction) -> Fraction:
         if f.ground != self.ground:
@@ -188,10 +184,6 @@ class LinearForm:
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
-
-    def holds_on(self, f: SetFunction) -> bool:
-        v = self.evaluate(f)
-        return v == 0 if self.sense == "==0" else v >= 0
 
 
 @dataclass(frozen=True, order=True)

@@ -1,5 +1,5 @@
-"""Block permutations, orbit averaging, reduced coordinates, and the
-labelling of facet orbits of the polymatroid cone.
+"""Orbit averaging, reduced coordinates, and the labelling of facet
+orbits of the polymatroid cone.
 
 A partition p of the ground set induces the group of permutations that
 keep each block inside itself.  Functions constant on subsets with
@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import comb, prod
-from typing import Iterator, Optional
+from typing import Optional
 
 from .partitions import Partition, partition_vector
-from .setfn import FacetId, SetFunction, elements_of, set_text
+from .setfn import (
+    FacetId,
+    SetFunction,
+    elemental_facet_ids,
+    elements_of,
+    set_text,
+)
 
 
 class SymmetryError(ValueError):
@@ -33,79 +39,6 @@ class SymmetryError(ValueError):
             f"function differs on {set_text(mask_a)} and {set_text(mask_b)} "
             "although their per-block counts agree"
         )
-
-
-@dataclass(frozen=True)
-class BlockPermutation:
-    """Bijection of {1..n}; `mapping[i-1]` is the image of element i."""
-
-    mapping: tuple
-
-    def __post_init__(self) -> None:
-        m = tuple(self.mapping)
-        object.__setattr__(self, "mapping", m)
-        if sorted(m) != list(range(1, len(m) + 1)):
-            raise ValueError("mapping is not a bijection of 1..n")
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def of_element(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    def of_mask(self, mask: int) -> int:
-        out = 0
-        i = 1
-        while mask:
-            if mask & 1:
-                out |= 1 << (self.mapping[i - 1] - 1)
-            mask >>= 1
-            i += 1
-        return out
-
-    def compose(self, other: "BlockPermutation") -> "BlockPermutation":
-        """self after other: (self . other)(i) = self(other(i))."""
-        return BlockPermutation(
-            tuple(self.mapping[other.mapping[i] - 1] for i in range(self.n))
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> "BlockPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def preserves(self, p: Partition) -> bool:
-        return all(
-            self.of_mask(b) == b for b in p.blocks
-        )
-
-
-def block_permutations(p: Partition) -> Iterator[BlockPermutation]:
-    """All permutations fixing each block of p setwise.
-
-    The group has size prod(n_i!); intended for small grounds where it
-    serves as the brute-force averaging oracle.
-    """
-    per_block = []
-    for b in p.blocks:
-        els = elements_of(b)
-        per_block.append([dict(zip(els, img)) for img in permutations(els)])
-    n = p.ground.n
-    for combo in product(*per_block):
-        mapping = list(range(1, n + 1))
-        for block_map in combo:
-            for src, dst in block_map.items():
-                mapping[src - 1] = dst
-        yield BlockPermutation(tuple(mapping))
-
-
-def apply_to_function(sigma: BlockPermutation, h: SetFunction) -> SetFunction:
-    """Pullback action: result(A) = h(sigma(A))."""
-    if sigma.n != h.n:
-        raise ValueError("permutation size does not match ground set")
-    return SetFunction(
-        h.ground, tuple(h.values[sigma.of_mask(a)] for a in h.ground.subsets())
-    )
 
 
 def is_p_symmetric(h: SetFunction, p: Partition) -> bool:
@@ -352,8 +285,6 @@ def orbit_count_formula(p: Partition) -> int:
 
 def orbit_sizes(p: Partition) -> dict:
     """Number of elemental facets in each orbit, by direct labelling."""
-    from .setfn import elemental_facet_ids
-
     out: dict = {}
     for fid in elemental_facet_ids(p.ground):
         lab = facet_orbit_label(fid, p)

@@ -19,12 +19,24 @@ from .cone import (
     normalize_ray,
     psi_p_hrep,
 )
-from .families import family_Un, family_Un_tags, gap_witness_blocks, uniform
-from .partitions import Partition, canonical_partition, covers
+from .families import (
+    family_Un,
+    family_Un_tags,
+    gap_witness_blocks,
+    uniform,
+    uniform_on_support,
+)
+from .partitions import (
+    Partition,
+    canonical_partition,
+    canonical_representatives,
+    covers,
+)
 from .setfn import (
     GroundSet,
     SetFunction,
     elements_of,
+    mask_of,
     polymatroid_violation,
     restrict,
     zhang_yeung_form,
@@ -235,10 +247,7 @@ def verify_gap(p: Partition) -> Verdict:
         special = elements_of(coarse.blocks[0])[:2]
         other = elements_of(coarse.blocks[1])[:2]
         chosen = sorted(special + other)
-        mask = 0
-        for e in chosen:
-            mask |= 1 << (e - 1)
-        restricted = restrict(witness, mask)
+        restricted = restrict(witness, mask_of(chosen))
         roles = tuple(chosen.index(e) + 1 for e in special + other)
         value = zhang_yeung_form(GroundSet(4), roles).evaluate(restricted)
         if value != -1:
@@ -279,24 +288,6 @@ def collapse_label(label: OrbitLabel, p: Partition, context: Partition) -> Orbit
     if sum(li) == 1:
         lk = [0] * t2
     return OrbitLabel(tuple(li), tuple(lk))
-
-
-def _support_rank_witness(p: Partition, positions, rank: int) -> SetFunction:
-    """Uniform rank on the union of the given blocks, loops elsewhere."""
-    support = 0
-    for pos in positions:
-        support |= p.blocks[pos]
-    return SetFunction.from_callable(
-        p.ground, lambda a: Fraction(min(rank, (a & support).bit_count()))
-    )
-
-
-def _count_witness(p: Partition, pos: int) -> SetFunction:
-    """Counting rank |A intersect block|: free on one block, loops elsewhere."""
-    block = p.blocks[pos]
-    return SetFunction.from_callable(
-        p.ground, lambda a: Fraction((a & block).bit_count())
-    )
 
 
 def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
@@ -373,30 +364,30 @@ def build_isolation(
     ctx_label = collapse_label(target, p, context)
     touched = [i - 1 for i in target.blocks_touched()]
     k = target.lambda_K
+    b = p.blocks
 
-    if all(i in (u, v) for i in touched):
-        if target.kind == "A":
-            fn = _count_witness(p, touched[0])
-        elif target.kind == "C":
-            pos = touched[0]
-            fn = _support_rank_witness(p, [pos], k[pos] + 1)
+    if target.kind == "A":
+        (l,) = touched
+        fn = uniform_on_support(b[l].bit_count(), b[l], p.ground)
+    elif all(i in (u, v) for i in touched):
+        if target.kind == "C":
+            (l,) = touched
+            fn = uniform_on_support(k[l] + 1, b[l], p.ground)
         else:
             fn = _mixed_pair_witness(p, u, v, k[u], k[v])
-    elif target.kind == "A":
-        fn = _count_witness(p, touched[0])
     elif target.kind == "C":
         (l,) = touched
-        fn = _support_rank_witness(p, [u, l], k[u] + k[l] + 1)
+        fn = uniform_on_support(k[u] + k[l] + 1, b[u] | b[l], p.ground)
     else:  # B label with at most one leg in the merged pair
         legs_in = [i for i in touched if i in (u, v)]
         if legs_in:
             x = legs_in[0]
             l = next(i for i in touched if i != x)
-            fn = _support_rank_witness(p, [x, l], k[x] + k[l] + 1)
+            fn = uniform_on_support(k[x] + k[l] + 1, b[x] | b[l], p.ground)
         else:
             l1, l2 = touched
-            fn = _support_rank_witness(
-                p, [u, l1, l2], k[u] + k[l1] + k[l2] + 1
+            fn = uniform_on_support(
+                k[u] + k[l1] + k[l2] + 1, b[u] | b[l1] | b[l2], p.ground
             )
     return IsolationWitness(p, target, context, ctx_label, fn)
 
@@ -604,8 +595,6 @@ def run_suite(
     seed: int = 0,
 ) -> list:
     """Run the whole battery at the given sizes and collect verdicts."""
-    from .partitions import canonical_representatives
-
     verdicts = []
     for n in psi_sizes:
         verdicts.append(verify_psi_n(n))
@@ -623,7 +612,7 @@ def run_suite(
             context = canonical_partition((p.n,))
             for label in orbit_labels(p):
                 verdicts.append(check_isolation(build_isolation(p, label, context)))
-    for n in range(2, min(isolation_max_n, 4) + 1):
+    for n in range(2, isolation_max_n + 1):
         reps = canonical_representatives(n)
         for p in reps:
             for context in reps:

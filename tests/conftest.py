@@ -1,10 +1,13 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
+from typing import Iterator
 
 import pytest
 
-from symcone import GroundSet, Partition, SetFunction
+from symcone import GroundSet, Partition, SetFunction, elements_of
 
 
 def all_set_partitions(n: int):
@@ -52,6 +55,80 @@ def random_rational_function(ground: GroundSet, rng: random.Random) -> SetFuncti
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# Brute-force oracle for `symmetrize`: the explicit block-permutation
+# group and its pullback action on set functions.
+
+
+@dataclass(frozen=True)
+class BlockPermutation:
+    """Bijection of {1..n}; `mapping[i-1]` is the image of element i."""
+
+    mapping: tuple
+
+    def __post_init__(self) -> None:
+        m = tuple(self.mapping)
+        object.__setattr__(self, "mapping", m)
+        if sorted(m) != list(range(1, len(m) + 1)):
+            raise ValueError("mapping is not a bijection of 1..n")
+
+    @property
+    def n(self) -> int:
+        return len(self.mapping)
+
+    def of_mask(self, mask: int) -> int:
+        out = 0
+        i = 1
+        while mask:
+            if mask & 1:
+                out |= 1 << (self.mapping[i - 1] - 1)
+            mask >>= 1
+            i += 1
+        return out
+
+    def compose(self, other: "BlockPermutation") -> "BlockPermutation":
+        """self after other: (self . other)(i) = self(other(i))."""
+        return BlockPermutation(
+            tuple(self.mapping[other.mapping[i] - 1] for i in range(self.n))
+        )
+
+    @classmethod
+    def identity(cls, n: int) -> "BlockPermutation":
+        return cls(tuple(range(1, n + 1)))
+
+    def preserves(self, p: Partition) -> bool:
+        return all(
+            self.of_mask(b) == b for b in p.blocks
+        )
+
+
+def block_permutations(p: Partition) -> Iterator[BlockPermutation]:
+    """All permutations fixing each block of p setwise.
+
+    The group has size prod(n_i!); intended for small grounds where it
+    serves as the brute-force averaging oracle.
+    """
+    per_block = []
+    for b in p.blocks:
+        els = elements_of(b)
+        per_block.append([dict(zip(els, img)) for img in permutations(els)])
+    n = p.ground.n
+    for combo in product(*per_block):
+        mapping = list(range(1, n + 1))
+        for block_map in combo:
+            for src, dst in block_map.items():
+                mapping[src - 1] = dst
+        yield BlockPermutation(tuple(mapping))
+
+
+def apply_to_function(sigma: BlockPermutation, h: SetFunction) -> SetFunction:
+    """Pullback action: result(A) = h(sigma(A))."""
+    if sigma.n != h.n:
+        raise ValueError("permutation size does not match ground set")
+    return SetFunction(
+        h.ground, tuple(h.values[sigma.of_mask(a)] for a in h.ground.subsets())
+    )
 
 
 def fraction_rank(rows) -> int:

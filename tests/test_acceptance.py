@@ -52,9 +52,8 @@ from symcone import (
     zhang_yeung_form,
 )
 from symcone.families import random_polymatroid, random_symmetric_function
-from symcone.symmetry import apply_to_function, block_permutations
 
-from conftest import random_rational_function
+from conftest import apply_to_function, block_permutations, random_rational_function
 
 
 def _criterion(name: str, budget_s: float, body) -> None:

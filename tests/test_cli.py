@@ -1,9 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from symcone import gap_witness, u1_loop, uniform
-from symcone.cli import main
+from symcone.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -147,3 +151,39 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(["rays", "--n", "4", "--partition", "1|2,3,4"])
         assert capsys.readouterr().out == first
+
+
+class TestParserSurface:
+    def test_csv_format_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["facets", "--n", "2", "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["rays", "--n", "3"],
+        ["facets", "--n", "3"],
+        ["orbits", "--n", "3"],
+        ["project", "--function", "h.txt"],
+        ["check", "--function", "h.txt"],
+        ["decompose", "--function", "h.txt"],
+    ])
+    def test_seed_only_on_verify(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_verify_takes_seed(self, capsys):
+        assert main(["verify", "--n-max", "2", "--seed", "3"]) == 0
+
+    def test_readme_command_block_parses(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        argvs = [shlex.split(ln, comments=True)[1:]
+                 for ln in block.splitlines() if ln.startswith("symcone ")]
+        assert {argv[0] for argv in argvs} == {
+            "facets", "orbits", "rays", "project", "check", "decompose",
+            "verify", "family",
+        }
+        parser = build_parser()
+        for argv in argvs:
+            parser.parse_args(argv)

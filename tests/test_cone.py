@@ -15,7 +15,6 @@ from symcone import (
     canonical_partition,
     canonical_representatives,
     conic_decompose,
-    contains,
     elemental_count,
     extreme_rays,
     facet_reduction_check,
@@ -233,16 +232,16 @@ class TestFrontierShapes:
 class TestContains:
     def test_gap_witness_in_reduced_cone(self):
         p = canonical_partition((2, 2))
-        assert contains(psi_p_hrep(p), svec(gap_witness(2, 2), p))
+        assert psi_p_hrep(p).contains(svec(gap_witness(2, 2), p))
 
     def test_negated_ray_outside(self):
         p = canonical_partition((4,))
         vec = [-x for x in svec(uniform(1, 4), p)]
-        assert not contains(psi_p_hrep(p), vec)
+        assert not psi_p_hrep(p).contains(vec)
 
     def test_zero_vector_inside(self):
         cone = psi_p_hrep(canonical_partition((2, 2)))
-        assert contains(cone, (0,) * cone.dim)
+        assert cone.contains((0,) * cone.dim)
 
 
 class TestConicDecompose:

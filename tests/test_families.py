@@ -10,7 +10,6 @@ from symcone import (
     build_family,
     canonical_expansion,
     canonical_partition,
-    contains,
     factor,
     family_Un,
     family_Un_tags,
@@ -188,7 +187,7 @@ class TestUkmFamily:
             cone = psi_p_hrep(p)
             for h in fam:
                 assert is_p_symmetric(h, p)
-                assert contains(cone, to_sym(h, p).free_values())
+                assert cone.contains(to_sym(h, p).free_values())
                 assert is_polymatroid(h) and h.is_integer_valued()
             # the head-light members are honest matroids
             assert is_matroid(family_Un(n)[0])

@@ -4,14 +4,11 @@ from fractions import Fraction
 import pytest
 
 from symcone import (
-    BlockPermutation,
     GroundSet,
     OrbitLabel,
     Partition,
     SetFunction,
     SymmetryError,
-    apply_to_function,
-    block_permutations,
     canonical_partition,
     canonical_representatives,
     elemental_count,
@@ -33,7 +30,12 @@ from symcone.setfn import FacetId
 from symcone.families import random_polymatroid
 from symcone.symmetry import SymIndexSet, SymVector
 
-from conftest import random_rational_function
+from conftest import (
+    BlockPermutation,
+    apply_to_function,
+    block_permutations,
+    random_rational_function,
+)
 
 
 class TestGroupAction:

@@ -34,7 +34,7 @@ from symcone import (
     verify_psi_1n1,
     verify_psi_n,
 )
-from symcone.verify import IsolationWitness
+from symcone.verify import IsolationWitness, run_suite
 
 
 def conic_point(n, weights):
@@ -172,6 +172,48 @@ class TestIsolations:
         assert ("C", "C") in shapes
         assert ("B", "C") in shapes  # split of a within-block orbit
         assert ("B", "B") in shapes
+
+    @pytest.mark.parametrize("parts, ctx_parts, label, values", [
+        # counting rank on a block outside the merged pair
+        ((1, 1, 3), (1, 4), OrbitLabel((0, 0, 1), (0, 0, 0)),
+         (0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2,
+          1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3)),
+        # within-block label inside the merged pair: rank 3 on {2,3,4,5}
+        ((1, 4), (5,), OrbitLabel((0, 2), (0, 2)),
+         (0, 0, 1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 2, 2, 3, 3,
+          1, 1, 2, 2, 2, 2, 3, 3, 2, 2, 3, 3, 3, 3, 3, 3)),
+        # within-block label outside the pair: rank 3 on {1,3,4,5}
+        ((1, 1, 3), (2, 3), OrbitLabel((0, 0, 2), (1, 0, 1)),
+         (0, 1, 0, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 3, 2, 3,
+          1, 2, 1, 2, 2, 3, 2, 3, 2, 3, 2, 3, 3, 3, 3, 3)),
+        # split pair with one leg in the merged pair: rank 3 on {1,3,4,5}
+        ((1, 1, 3), (1, 4), OrbitLabel((1, 0, 1), (0, 0, 2)),
+         (0, 1, 0, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 3, 2, 3,
+          1, 2, 1, 2, 2, 3, 2, 3, 2, 3, 2, 3, 3, 3, 3, 3)),
+        # split pair with no leg in the merged pair: rank 3 on {1,2,4,5}
+        ((1, 1, 1, 2), (1, 2, 2), OrbitLabel((1, 0, 0, 1), (0, 1, 0, 1)),
+         (0, 1, 1, 2, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3,
+          1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 3, 2, 3, 3, 3)),
+    ])
+    def test_pinned_witness_values(self, parts, ctx_parts, label, values):
+        p = canonical_partition(parts)
+        w = build_isolation(p, label, canonical_partition(ctx_parts))
+        assert w.function.values == values
+        assert check_isolation(w).passed
+
+    def test_suite_checks_five_element_cover_pairs(self):
+        verdicts = run_suite(
+            psi_sizes=(), two_block_sizes=(), bijection_max_n=1,
+            gap_parts=(), isolation_max_n=5,
+        )
+        # the two-block loop already uses the one-block context; cover
+        # pairs are the verdicts whose context has two or more blocks
+        covers5 = [
+            v for v in verdicts
+            if v.claim == "isolation" and "|" in v.params["context"]
+            and len(v.params["partition"].replace("|", ",").split(",")) == 5
+        ]
+        assert covers5 and all(v.passed for v in verdicts)
 
     def test_corrupted_witness_fails(self):
         p = canonical_partition((2, 2))
