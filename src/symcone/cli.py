@@ -317,12 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("lp", "inductive"), default="lp")
     sp.set_defaults(fn=cmd_decompose)
 
-    sp = sub.add_parser("verify", help="run the verification battery")
-    common(sp, partition=False)
+    # no abbreviations: `--n` would otherwise be read as `--n-max`
+    sp = sub.add_parser("verify", help="run the verification battery",
+                        allow_abbrev=False)
     sp.add_argument("--n-max", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the random points of the decomposition checks")
-    sp.set_defaults(fn=cmd_verify, format="json")
+    sp.add_argument("--format", choices=("text", "json"), default="json")
+    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("family", help="print a named family member")
     sp.add_argument("tag", type=str,

@@ -7,9 +7,10 @@ fraction-free elimination picks independent rows and inverts them into
 a simplicial subcone, then the remaining rows are inserted one at a
 time, combining adjacent positive/negative ray pairs.  Tight sets are
 int bitmasks and adjacency is combinatorial: no third ray is tight on
-all the rows the pair shares.  Conic decomposition is a phase-1
-rational simplex with Bland's rule; infeasibility yields a separating
-functional.
+all the rows the pair shares.  Membership tests scale each input to
+integers once and take integer dot products.  Conic decomposition is a
+phase-1 simplex with Bland's rule on a fraction-free integer tableau;
+infeasibility yields a separating functional.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .partitions import Partition, partition_vector
 from .setfn import (
     GroundSet,
     UnsupportedSizeError,
+    _clear_denominators,
     elemental_facet_ids,
     elemental_form,
     is_polymatroid,
@@ -52,12 +54,6 @@ def _content_normalize(vec: Sequence[int]) -> tuple:
     return tuple(x // g for x in vec)
 
 
-def _clear_denominators(vec) -> tuple:
-    fracs = [Fraction(x) for x in vec]
-    m = lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * m) for f in fracs)
-
-
 @dataclass(frozen=True)
 class Ray:
     """Primitive integer direction of a 1-dimensional face."""
@@ -81,8 +77,7 @@ def normalize_ray(vec) -> Ray:
     positive; for directions inside the cones built here all
     components are nonnegative, so this never leaves the cone.
     """
-    ints = _clear_denominators(vec)
-    ints = _content_normalize(ints)
+    ints = _content_normalize(_clear_denominators(vec)[0])
     first = next(x for x in ints if x)
     if first < 0:
         ints = tuple(-x for x in ints)
@@ -105,7 +100,7 @@ class HCone:
         seen = set()
         norm = []
         for coeffs, label in self.rows:
-            ints = _clear_denominators(coeffs)
+            ints, _ = _clear_denominators(coeffs)
             if len(ints) != self.dim:
                 raise ValueError("row length does not match dimension")
             if not any(ints):
@@ -126,19 +121,29 @@ class HCone:
             for coeffs, _ in self.rows
         )
 
-    def row_values(self, v: Sequence) -> list:
-        vals = list(v)
-        if len(vals) != self.dim:
+    def _scaled(self, v: Sequence) -> tuple:
+        ints, m = _clear_denominators(v)
+        if len(ints) != self.dim:
             raise ValueError("vector length does not match cone dimension")
-        return [sum(c * vals[i] for i, c in sparse) for sparse in self._sparse]
+        return ints, m
+
+    def row_values(self, v: Sequence) -> list:
+        """Value of each row at v: ints when every entry of v is an
+        int, Fractions otherwise."""
+        vals = list(v)
+        ints, m = self._scaled(vals)
+        sums = [sum(c * ints[i] for i, c in sparse) for sparse in self._sparse]
+        if all(isinstance(x, int) for x in vals):
+            return sums
+        return [Fraction(s, m) for s in sums]
 
     def contains(self, v: Sequence) -> bool:
-        vals = list(v)
-        if len(vals) != self.dim:
-            raise ValueError("vector length does not match cone dimension")
-        zero = Fraction(0)
+        ints, _ = self._scaled(v)
         for sparse in self._sparse:
-            if sum((c * vals[i] for i, c in sparse), zero) < 0:
+            total = 0
+            for i, c in sparse:
+                total += c * ints[i]
+            if total < 0:
                 return False
         return True
 
@@ -400,80 +405,90 @@ def _generator_vector(g, dim: int) -> tuple:
     vec = g.direction if isinstance(g, Ray) else tuple(g)
     if len(vec) != dim:
         raise ValueError("generator dimension mismatch")
-    return tuple(Fraction(x) for x in vec)
+    return vec
 
 
 def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     """Express v as a nonnegative combination of the generators, exactly.
 
     Solves the phase-1 problem min sum(artificials) subject to
-    G c + D a = v, c, a >= 0 with rational pivoting; a positive optimum
-    yields the separating functional from the final multipliers.
+    G c + D a = v, c, a >= 0; a positive optimum yields the separating
+    functional from the final multipliers.  The target and each
+    generator are scaled to integers by their own positive factors,
+    which changes no pivot choice.  The tableau is kept as integers
+    over one common denominator `den`, the determinant of the current
+    basis: each pivot divides exactly by the previous `den` (Bareiss,
+    as in lrs), and the ratio test cross-multiplies.
     """
-    target = tuple(Fraction(x) for x in v)
-    d = len(target)
-    gens = [_generator_vector(g, d) for g in generators]
-    k = len(gens)
+    rhs, t_scale = _clear_denominators(v)
+    d = len(rhs)
+    cols, g_scale = [], []
+    for g in generators:
+        ints, m = _clear_denominators(_generator_vector(g, d))
+        cols.append(ints)
+        g_scale.append(m)
+    k = len(cols)
 
-    sign = [1 if target[i] >= 0 else -1 for i in range(d)]
+    sign = [1 if x >= 0 else -1 for x in rhs]
     # tableau: k generator columns, d artificial columns, rhs
-    width = k + d + 1
-    tab = []
-    for i in range(d):
-        row = [sign[i] * gens[j][i] for j in range(k)]
-        row += [Fraction(1 if idx == i else 0) for idx in range(d)]
-        row.append(sign[i] * target[i])
-        tab.append(row)
-    obj = [Fraction(0)] * width
-    for i in range(d):
-        for j in range(width):
-            obj[j] -= tab[i][j]
-    for i in range(d):
-        obj[k + i] = Fraction(0)
+    tab = [
+        [sign[i] * col[i] for col in cols]
+        + [int(idx == i) for idx in range(d)]
+        + [sign[i] * rhs[i]]
+        for i in range(d)
+    ]
+    obj = [-sum(col) for col in zip(*tab)] if d else [0] * (k + 1)
+    obj[k:k + d] = [0] * d
 
+    den = 1
     basis = [k + i for i in range(d)]
     while True:
         enter = next((j for j in range(k + d) if obj[j] < 0), None)
         if enter is None:
             break
-        best = None
+        leave = None
         for i in range(d):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # tab[i][-1] / a against tab[leave][-1] / b, with a, b > 0
+                b = tab[leave][enter]
+                mine, best = tab[i][-1] * b, tab[leave][-1] * a
+                if mine < best or (mine == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             raise ArithmeticError("phase-1 objective unbounded")  # impossible
-        _, leave = best
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        row = tab[leave]
+        piv = row[enter]
         for i in range(d):
-            if i != leave and tab[i][enter] != 0:
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+                tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], row)]
+        f = obj[enter]
+        obj = [(piv * a - f * b) // den for a, b in zip(obj, row)]
+        den = piv
         basis[leave] = enter
 
-    objective = -obj[-1]
-    if objective > 0:
-        w = tuple(sign[i] * (obj[k + i] - 1) for i in range(d))
-        if not (all(sum(w[i] * g[i] for i in range(d)) >= 0 for g in gens)
-                and sum(w[i] * target[i] for i in range(d)) < 0):
+    # Both checks run on the integer system; the Fractions built after
+    # them divide it back by the positive scale factors only.
+    if obj[-1] < 0:
+        w = [sign[i] * (obj[k + i] - den) for i in range(d)]
+        if not (all(sum(a * b for a, b in zip(w, col)) >= 0 for col in cols)
+                and sum(a * b for a, b in zip(w, rhs)) < 0):
             raise ArithmeticError("Farkas certificate does not separate")
-        return DecomposeResult(False, certificate=w)
+        return DecomposeResult(False, certificate=tuple(Fraction(x, den) for x in w))
 
-    coeffs = [Fraction(0)] * k
+    weights = [0] * k
     for i, bv in enumerate(basis):
         if bv < k:
-            coeffs[bv] = tab[i][-1]
-    if any(sum(coeffs[j] * gens[j][i] for j in range(k)) != target[i]
+            weights[bv] = tab[i][-1]
+    if any(sum(x * col[i] for x, col in zip(weights, cols)) != den * rhs[i]
            for i in range(d)):
         raise ArithmeticError("coefficients do not rebuild the target")
-    return DecomposeResult(True, coefficients=tuple(coeffs))
+    return DecomposeResult(True, coefficients=tuple(
+        Fraction(x * m, den * t_scale) for x, m in zip(weights, g_scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ representatives indexed by the integer partitions of n."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .setfn import GroundSet, elements_of, mask_of
 
@@ -45,6 +45,22 @@ class Partition:
     @property
     def block_sizes(self) -> tuple:
         return tuple(b.bit_count() for b in self.blocks)
+
+    @cached_property
+    def count_index(self) -> tuple:
+        """`(position, smallest)` over the count tuples in lexicographic
+        order: `position[mask]` is the index of the count tuple of
+        `mask`, and `smallest[r]` is the smallest mask whose count
+        tuple has index `r` (the first k_i elements of each block)."""
+        position = []
+        smallest = {}
+        for mask in self.ground.subsets():
+            r = 0
+            for b in self.blocks:
+                r = r * (b.bit_count() + 1) + (mask & b).bit_count()
+            position.append(r)
+            smallest.setdefault(r, mask)
+        return tuple(position), tuple(smallest[r] for r in range(len(smallest)))
 
     def __str__(self) -> str:
         return "|".join(

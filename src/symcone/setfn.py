@@ -1,9 +1,10 @@
 """Ground sets, subsets as bitmasks, and exact rational set functions.
 
 Everything in this module is exact: values are `fractions.Fraction`,
-subsets are plain ints with bit i-1 encoding element i, and every
-inequality test compares rationals.  Floats are never used because the
-cone machinery downstream needs exact zero detection.
+subsets are plain ints with bit i-1 encoding element i, and inequality
+tests scale the values to integers once (by the lcm of their
+denominators) and compare integer sums.  Floats are never used because
+the cone machinery downstream needs exact zero detection.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional
 
 #: Largest ground set stored densely (2**n values per function).
@@ -20,6 +21,20 @@ DENSE_GROUND_CAP = 12
 
 class UnsupportedSizeError(ValueError):
     """The operation would need dense 2**n storage beyond the cap."""
+
+
+def _clear_denominators(vec) -> tuple:
+    """`(ints, m)`: `m` is the lcm of the denominators of `vec` and
+    `ints[i] = vec[i] * m`.
+
+    `int` and `Fraction` entries are read as they are; anything else
+    goes through `Fraction(x)` first.
+    """
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    m = lcm(*[x.denominator for x in vals])
+    if m == 1:
+        return [x.numerator for x in vals], 1
+    return [x.numerator * (m // x.denominator) for x in vals], m
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -86,7 +101,8 @@ class SetFunction:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
+                     for v in self.values)
         if len(vals) != 1 << self.ground.n:
             raise ValueError(
                 f"expected {1 << self.ground.n} values, got {len(vals)}"
@@ -272,9 +288,10 @@ def polymatroid_violation(f: SetFunction) -> Optional[FacetId]:
     """First elemental inequality violated by `f`, or None if none is.
 
     Scans E(i) for i = 1..n first, then the conditional forms in the
-    same order as `elemental_facet_ids`.
+    same order as `elemental_facet_ids`, on the values scaled to
+    integers.
     """
-    vals = f.values
+    vals, _ = _clear_denominators(f.values)
     ground = f.ground
     full = ground.full_mask
     top = vals[full]

@@ -19,8 +19,8 @@ from .partitions import Partition, partition_vector
 from .setfn import (
     FacetId,
     SetFunction,
+    _clear_denominators,
     elemental_facet_ids,
-    elements_of,
     set_text,
 )
 
@@ -47,15 +47,17 @@ def is_p_symmetric(h: SetFunction, p: Partition) -> bool:
 
 
 def _symmetry_violation(h: SetFunction, p: Partition) -> Optional[tuple]:
-    seen: dict = {}
-    for a in h.ground.subsets():
-        lam = partition_vector(a, p)
-        if lam in seen:
-            first, val = seen[lam]
-            if h.values[a] != val:
-                return (first, a)
-        else:
-            seen[lam] = (a, h.values[a])
+    """`(first, a)`: the first mask `a` whose value differs from the value
+    on `first`, the smallest mask with the same count tuple.  Compares
+    the values scaled to integers."""
+    if h.ground != p.ground:
+        raise ValueError("ground sets differ")
+    position, smallest = p.count_index
+    vals, _ = _clear_denominators(h.values)
+    for a, r in enumerate(position):
+        first = smallest[r]
+        if vals[a] != vals[first]:
+            return (first, a)
     return None
 
 
@@ -63,24 +65,24 @@ def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
     """Orbit average of h under the block-permutation group of p.
 
     Computed by the closed form: the value on A is the mean of h over
-    all subsets sharing A's count vector, the orbit size being a
-    product of binomials.  Equals the |group|-term average but costs
-    O(2**n) instead of O(prod n_i!).
+    all subsets sharing A's count tuple, the orbit size being a
+    product of binomials.  One pass sums h per count tuple through
+    `Partition.count_index`, a second reads the means back per subset.
+    Equals the |group|-term average but costs O(2**n) instead of
+    O(prod n_i!).
     """
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
-    sums: dict = {}
-    for a in h.ground.subsets():
-        lam = partition_vector(a, p)
-        sums[lam] = sums.get(lam, Fraction(0)) + h.values[a]
+    position, smallest = p.count_index
+    sums = [Fraction(0)] * len(smallest)
+    for a, r in enumerate(position):
+        sums[r] += h.values[a]
     sizes = p.block_sizes
-    means = {
-        lam: total / prod(comb(sizes[i], lam[i]) for i in range(p.t))
-        for lam, total in sums.items()
-    }
-    return SetFunction(
-        h.ground, tuple(means[partition_vector(a, p)] for a in h.ground.subsets())
-    )
+    means = [
+        total / prod(comb(s, (m & b).bit_count()) for s, b in zip(sizes, p.blocks))
+        for total, m in zip(sums, smallest)
+    ]
+    return SetFunction(h.ground, tuple(means[r] for r in position))
 
 
 class SymIndexSet:
@@ -101,16 +103,6 @@ class SymIndexSet:
         """All tuples except the all-zero origin."""
         return self.tuples[1:]
 
-    def representative_mask(self, tup) -> int:
-        """Deterministic subset with the given counts: the first k_i
-        elements of each block."""
-        mask = 0
-        for b, k in zip(self.p.blocks, tup):
-            els = elements_of(b)
-            for e in els[:k]:
-                mask |= 1 << (e - 1)
-        return mask
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymIndexSet) and self.p == other.p
 
@@ -126,7 +118,8 @@ class SymVector:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
+                     for v in self.values)
         if len(vals) != self.index.size:
             raise ValueError("wrong number of reduced coordinates")
         if vals[0] != 0:
@@ -153,24 +146,18 @@ def to_sym(h: SetFunction, p: Partition) -> SymVector:
     Raises SymmetryError naming a violating subset pair when h is not
     symmetric.
     """
-    if h.ground != p.ground:
-        raise ValueError("ground sets differ")
     bad = _symmetry_violation(h, p)
     if bad is not None:
         raise SymmetryError(*bad)
-    index = SymIndexSet(p)
-    return SymVector(
-        index, tuple(h.values[index.representative_mask(t)] for t in index.tuples)
-    )
+    _, smallest = p.count_index
+    return SymVector(SymIndexSet(p), tuple(h.values[m] for m in smallest))
 
 
 def from_sym(s: SymVector) -> SetFunction:
     """Inflate reduced coordinates back to a full set function."""
     p = s.index.p
-    return SetFunction(
-        p.ground,
-        tuple(s.values[s.index.position[partition_vector(a, p)]] for a in p.ground.subsets()),
-    )
+    position, _ = p.count_index
+    return SetFunction(p.ground, tuple(s.values[r] for r in position))
 
 
 @dataclass(frozen=True)

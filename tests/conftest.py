@@ -7,7 +7,14 @@ from typing import Iterator
 
 import pytest
 
-from symcone import GroundSet, Partition, SetFunction, elements_of
+from symcone import (
+    DecomposeResult,
+    GroundSet,
+    Partition,
+    Ray,
+    SetFunction,
+    elements_of,
+)
 
 
 def all_set_partitions(n: int):
@@ -191,3 +198,139 @@ def brute_force_rays(rows, dim: int) -> set:
 
     walk(0, [tuple(int(i == j) for j in range(dim)) for i in range(dim)])
     return {vec for vec, ok in verdicts.items() if ok}
+
+
+# Fraction references for the integer kernels of `HCone.contains`,
+# `HCone.row_values`, `polymatroid_violation` and the symmetry check.
+# They share no code with symcone: rows are plain coefficient tuples and
+# set functions plain value sequences indexed by mask.
+
+
+def fraction_row_values(rows, v) -> list:
+    """Row values in Fractions; ints when every entry of v is an int."""
+    vals = [Fraction(x) for x in v]
+    out = [sum((Fraction(c) * x for c, x in zip(row, vals)), Fraction(0))
+           for row in rows]
+    if all(isinstance(x, int) for x in v):
+        return [int(x) for x in out]
+    return out
+
+
+def fraction_contains(rows, v) -> bool:
+    return all(x >= 0 for x in fraction_row_values(rows, v))
+
+
+def fraction_first_violation(values, n: int):
+    """`(I, K)` masks of the first violated elemental inequality, or None.
+
+    Order: E(i) for i = 1..n, then E(i,j|K) for i < j with K ascending.
+    """
+    vals = [Fraction(x) for x in values]
+    full = (1 << n) - 1
+    for i in range(n):
+        if vals[full] - vals[full & ~(1 << i)] < 0:
+            return (1 << i, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = 1 << i, 1 << j
+            for k in range(full + 1):
+                if k & (a | b):
+                    continue
+                if vals[k | a] + vals[k | b] - vals[k] - vals[k | a | b] < 0:
+                    return (a | b, k)
+    return None
+
+
+def fraction_symmetry_violation(values, blocks):
+    """`(first, a)`: the first mask whose value differs from the value on
+    the first mask seen with the same per-block counts, or None."""
+    seen = {}
+    for a, x in enumerate(values):
+        counts = tuple(bin(a & b).count("1") for b in blocks)
+        first = seen.setdefault(counts, a)
+        if Fraction(x) != Fraction(values[first]):
+            return (first, a)
+    return None
+
+
+# Fraction-tableau simplex, the reference for the integer `conic_decompose`.
+
+
+def _fraction_generator(g, dim: int) -> tuple:
+    vec = g.direction if isinstance(g, Ray) else tuple(g)
+    if len(vec) != dim:
+        raise ValueError("generator dimension mismatch")
+    return tuple(Fraction(x) for x in vec)
+
+
+def fraction_conic_decompose(v, generators) -> DecomposeResult:
+    """Phase-1 simplex with Bland's rule over Fractions.
+
+    Solves min sum(artificials) subject to G c + D a = v, c, a >= 0; a
+    positive optimum yields the separating functional from the final
+    multipliers.
+    """
+    target = tuple(Fraction(x) for x in v)
+    d = len(target)
+    gens = [_fraction_generator(g, d) for g in generators]
+    k = len(gens)
+
+    sign = [1 if target[i] >= 0 else -1 for i in range(d)]
+    # tableau: k generator columns, d artificial columns, rhs
+    width = k + d + 1
+    tab = []
+    for i in range(d):
+        row = [sign[i] * gens[j][i] for j in range(k)]
+        row += [Fraction(1 if idx == i else 0) for idx in range(d)]
+        row.append(sign[i] * target[i])
+        tab.append(row)
+    obj = [Fraction(0)] * width
+    for i in range(d):
+        for j in range(width):
+            obj[j] -= tab[i][j]
+    for i in range(d):
+        obj[k + i] = Fraction(0)
+
+    basis = [k + i for i in range(d)]
+    while True:
+        enter = next((j for j in range(k + d) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(d):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            raise ArithmeticError("phase-1 objective unbounded")  # impossible
+        _, leave = best
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(d):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    objective = -obj[-1]
+    if objective > 0:
+        w = tuple(sign[i] * (obj[k + i] - 1) for i in range(d))
+        if not (all(sum(w[i] * g[i] for i in range(d)) >= 0 for g in gens)
+                and sum(w[i] * target[i] for i in range(d)) < 0):
+            raise ArithmeticError("Farkas certificate does not separate")
+        return DecomposeResult(False, certificate=w)
+
+    coeffs = [Fraction(0)] * k
+    for i, bv in enumerate(basis):
+        if bv < k:
+            coeffs[bv] = tab[i][-1]
+    if any(sum(coeffs[j] * gens[j][i] for j in range(k)) != target[i]
+           for i in range(d)):
+        raise ArithmeticError("coefficients do not rebuild the target")
+    return DecomposeResult(True, coefficients=tuple(coeffs))

@@ -175,6 +175,11 @@ class TestParserSurface:
     def test_verify_takes_seed(self, capsys):
         assert main(["verify", "--n-max", "2", "--seed", "3"]) == 0
 
+    def test_verify_rejects_n(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "7", "--n-max", "2"])
+        assert exc.value.code == 2
+
     def test_readme_command_block_parses(self):
         text = README.read_text(encoding="utf-8")
         block = text.split("## Command line", 1)[1].split("```")[1]

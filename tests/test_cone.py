@@ -15,6 +15,7 @@ from symcone import (
     canonical_partition,
     canonical_representatives,
     conic_decompose,
+    decompose_1n,
     elemental_count,
     extreme_rays,
     facet_reduction_check,
@@ -28,10 +29,18 @@ from symcone import (
     u1_loop,
     uniform,
 )
+from symcone.families import random_symmetric_function
 from symcone.setfn import elemental_facet_ids
 from symcone.symmetry import facet_orbit_label
 
-from conftest import brute_force_rays, fraction_rank, is_certified_ray
+from conftest import (
+    brute_force_rays,
+    fraction_conic_decompose,
+    fraction_contains,
+    fraction_rank,
+    fraction_row_values,
+    is_certified_ray,
+)
 
 
 def svec(h, p):
@@ -243,6 +252,48 @@ class TestContains:
         cone = psi_p_hrep(canonical_partition((2, 2)))
         assert cone.contains((0,) * cone.dim)
 
+    @staticmethod
+    def assert_matches_reference(cone, v):
+        rows = [coeffs for coeffs, _ in cone.rows]
+        want = fraction_row_values(rows, v)
+        got = cone.row_values(v)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert cone.contains(v) == fraction_contains(rows, v)
+
+    @staticmethod
+    def cones():
+        return [psi_p_hrep(canonical_partition(parts))
+                for parts in ((1, 2), (2, 2), (1, 1, 2), (1, 4), (3,))] + [
+            gamma_n_hrep(GroundSet(3)), gamma_n_hrep(GroundSet(4))]
+
+    def test_random_vectors_match_fraction_reference(self, rng):
+        """Mixed denominators and negative entries, and int-only vectors."""
+        for cone in self.cones():
+            for _ in range(40):
+                v = [Fraction(rng.randint(-6, 9), rng.randint(1, 6))
+                     for _ in range(cone.dim)]
+                self.assert_matches_reference(cone, v)
+                self.assert_matches_reference(cone, [rng.randint(-3, 9) for _ in v])
+
+    def test_points_on_faces_match_fraction_reference(self, rng):
+        """Rays and fractional combinations of two rays sit on faces: some
+        row values are exactly zero."""
+        for cone in self.cones():
+            rays = [r.direction for r in extreme_rays(cone)]
+            for r in rays:
+                self.assert_matches_reference(cone, r)
+                assert 0 in cone.row_values(r) and cone.contains(r)
+            for _ in range(20):
+                r1, r2 = rng.sample(rays, 2)
+                a = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+                b = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+                v = [a * x + b * y for x, y in zip(r1, r2)]
+                self.assert_matches_reference(cone, v)
+                j = rng.randrange(cone.dim)
+                v[j] -= Fraction(1, rng.randint(2, 9))
+                self.assert_matches_reference(cone, v)
+
 
 class TestConicDecompose:
     def test_recovers_known_combination(self):
@@ -295,6 +346,40 @@ class TestConicDecompose:
         assert out[:2] == ["False", "2 1"]
         w = [Fraction(x) for x in out[2].split()]
         assert w[0] >= 0 and w[0] + w[1] >= 0 and w[1] < 0
+
+    def test_matches_fraction_simplex_on_random_cones(self, rng):
+        """Same coefficients or certificate as the Fraction simplex."""
+        outcomes = []
+        for case in range(250):
+            d = 2 + case % 5
+            k = 1 + case % 8
+            gens = [tuple(Fraction(rng.randint(-4, 6), rng.randint(1, 5))
+                          for _ in range(d)) for _ in range(k)]
+            if case % 2:
+                weights = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in gens]
+                target = [sum(w * g[i] for w, g in zip(weights, gens))
+                          for i in range(d)]
+            else:
+                target = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(d)]
+            target[rng.randrange(d)] = 0
+            res = conic_decompose(target, gens)
+            assert res == fraction_conic_decompose(target, gens)
+            outcomes.append(res.feasible)
+        assert 50 < sum(outcomes) < 200
+
+    def test_matches_fraction_simplex_on_generator_family(self, rng):
+        """`decompose_1n` round trips and certificates for n = 3..5."""
+        outcomes = set()
+        for n in (3, 4, 5):
+            p = canonical_partition((1, n - 1))
+            gens = [svec(u, p) for u in family_Un(n)]
+            for _ in range(15):
+                h = random_symmetric_function(p, rng)
+                want = fraction_conic_decompose(svec(h, p), gens)
+                assert decompose_1n(h, n) == want
+                outcomes.add(want.feasible)
+        assert outcomes == {True, False}
 
     def test_empty_generator_list(self):
         res = conic_decompose((0, 0), [])

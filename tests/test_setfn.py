@@ -22,6 +22,8 @@ from symcone import (
 )
 from symcone.families import random_polymatroid
 
+from conftest import fraction_first_violation, random_rational_function
+
 
 class TestGroundSet:
     def test_bounds(self):
@@ -102,6 +104,28 @@ class TestPolymatroidChecks:
             wa = Fraction(rng.randint(0, 5), rng.randint(1, 3))
             wb = Fraction(rng.randint(0, 5), rng.randint(1, 3))
             assert wa * a.evaluate(f) + wb * b.evaluate(f) >= 0
+
+    def test_first_violation_matches_fraction_reference(self, rng):
+        """Same first violated facet as a Fraction scan, on mixed-denominator
+        and negative values, and on polymatroids nudged off a face."""
+        seen = set()
+        for n in (1, 2, 3, 4, 5):
+            ground = GroundSet(n)
+            for _ in range(60):
+                if rng.random() < 0.3:
+                    f = random_rational_function(ground, rng)
+                else:
+                    f = random_polymatroid(ground, rng)
+                    if rng.random() < 0.8:
+                        vals = list(f.values)
+                        m = rng.randint(1, ground.full_mask)
+                        vals[m] -= Fraction(1, rng.randint(1, 7))
+                        f = SetFunction(ground, tuple(vals))
+                want = fraction_first_violation(f.values, n)
+                got = polymatroid_violation(f)
+                assert want == (None if got is None else (got.I, got.K))
+                seen.add(None if want is None else want[1] != 0)
+        assert seen == {None, False, True}
 
 
 class TestMutualInfo:

@@ -27,13 +27,15 @@ from symcone import (
     uniform,
 )
 from symcone.setfn import FacetId
-from symcone.families import random_polymatroid
+from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.symmetry import SymIndexSet, SymVector
 
 from conftest import (
     BlockPermutation,
+    all_set_partitions,
     apply_to_function,
     block_permutations,
+    fraction_symmetry_violation,
     random_rational_function,
 )
 
@@ -160,6 +162,30 @@ class TestReducedCoordinates:
             to_sym(gap_witness(2, 2), p)
         pair = {err.value.mask_a, err.value.mask_b}
         assert all(m.bit_count() == 2 for m in pair)
+
+    def test_violation_matches_fraction_reference(self, rng):
+        """`to_sym` names the same pair as a Fraction scan, on every
+        partition of up to four elements, blocks interleaved or not."""
+        for n in (1, 2, 3, 4):
+            for p in all_set_partitions(n):
+                for _ in range(4):
+                    h = random_symmetric_function(p, rng)
+                    if rng.random() < 0.75:
+                        vals = list(h.values)
+                        vals[rng.randint(1, p.ground.full_mask)] += Fraction(
+                            rng.choice((-1, 1)), rng.randint(1, 5))
+                        h = SetFunction(h.ground, tuple(vals))
+                    want = fraction_symmetry_violation(h.values, p.blocks)
+                    assert is_p_symmetric(h, p) == (want is None)
+                    if want is None:
+                        s = to_sym(h, p)
+                        for a, x in enumerate(h.values):
+                            counts = tuple(bin(a & b).count("1") for b in p.blocks)
+                            assert s[counts] == x
+                        continue
+                    with pytest.raises(SymmetryError) as err:
+                        to_sym(h, p)
+                    assert (err.value.mask_a, err.value.mask_b) == want
 
     def test_round_trip(self):
         p = canonical_partition((2, 2))
