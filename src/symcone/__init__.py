@@ -40,7 +40,6 @@ from .partitions import (
 )
 from .symmetry import (
     OrbitLabel,
-    SymIndexSet,
     SymVector,
     SymmetryError,
     facet_orbit_label,

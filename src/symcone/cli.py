@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -109,7 +108,7 @@ def cmd_project(args) -> int:
         "function": image.to_json_array(),
         "reduced": {
             ",".join(map(str, t)): str(v)
-            for t, v in zip(svec.index.tuples, svec.values)
+            for t, v in zip(p.count_tuples, svec.values)
         },
     }
     _emit(payload, args.format, render)
@@ -119,8 +118,7 @@ def cmd_project(args) -> int:
 def cmd_rays(args) -> int:
     p = _parse_partition(args)
     cone = psi_p_hrep(p)
-    max_dim = args.max_dim
-    rays = extreme_rays(cone, max_dim=max_dim)
+    rays = extreme_rays(cone, max_dim=args.max_dim)
     payload = [
         {
             "direction": list(r.direction),
@@ -222,13 +220,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    verdicts = run_suite(
-        psi_sizes=tuple(range(2, args.n_max + 1)),
-        two_block_sizes=tuple(range(2, min(args.n_max, 5) + 1)),
-        bijection_max_n=min(args.n_max, 5),
-        isolation_max_n=min(args.n_max, 5),
-        seed=args.seed,
-    )
+    verdicts = run_suite(args.n_max, args.seed)
     report = [
         {
             "claim": v.claim,
@@ -291,13 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rays", help="extreme rays with tight orbit labels")
     common(sp)
-    env_cap = os.environ.get("SYMCONE_MAX_DIM")
-    try:
-        default_cap = int(env_cap) if env_cap else DEFAULT_MAX_DIM
-    except ValueError:
-        raise ValueError(
-            f"SYMCONE_MAX_DIM must be an integer, got {env_cap!r}") from None
-    sp.add_argument("--max-dim", type=int, default=default_cap)
+    sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sp.set_defaults(fn=cmd_rays)
 
     sp = sub.add_parser("check", help="test a function file")

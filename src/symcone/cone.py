@@ -19,11 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .families import random_symmetric_function
-from .partitions import Partition, partition_vector
+from .partitions import Partition
 from .setfn import (
     GroundSet,
     UnsupportedSizeError,
@@ -32,9 +32,12 @@ from .setfn import (
     elemental_form,
     is_polymatroid,
 )
-from .symmetry import SymIndexSet, facet_orbit_label, orbit_labels, to_sym
+from .symmetry import facet_orbit_label, orbit_labels, to_sym
 
 DEFAULT_MAX_DIM = 20
+# facet_reduction_check's membership spot checks: fixed, so verdicts repeat
+REDUCTION_SAMPLES = 20
+REDUCTION_SEED = 0
 
 
 class NotPointedError(ValueError):
@@ -173,45 +176,41 @@ class HCone:
 def psi_p_hrep(p: Partition) -> HCone:
     """Reduced cone of symmetric polymatroids, one row per facet orbit.
 
-    Coordinates are the count tuples except the all-zero origin, in
-    lexicographic order; any origin coefficient is dropped since the
-    origin coordinate is identically zero.
+    Coordinates are `p.count_tuples` except the all-zero origin; the
+    origin coordinate is identically zero, so its coefficient is
+    dropped.  Write [x] for the coordinate at position x of
+    `p.count_tuples`, r for the position of lambda_K, s_l for the
+    stride of block l in that order (adding 1 to k_l adds s_l to the
+    position) and `top` for the position of the full tuple
+    (n_1, ..., n_t).  The row of each label is, in closed form:
+
+    - A, block l:          [top] - [top - s_l];
+    - B, blocks l1 < l2:   [r + s_l1] + [r + s_l2] - [r] - [r + s_l1 + s_l2];
+    - C, block l:          2 [r + s_l] - [r] - [r + 2 s_l].
     """
-    index = SymIndexSet(p)
-    free = index.free_tuples
-    pos = {tup: i for i, tup in enumerate(free)}
-    t = p.t
     sizes = p.block_sizes
+    strides = [prod(s + 1 for s in sizes[l + 1:]) for l in range(p.t)]
+    coords = p.count_tuples[1:]
+    top = len(coords)
     rows = []
     for label in orbit_labels(p):
-        coeffs = [0] * len(free)
-
-        def add(tup, w):
-            if any(tup):
-                coeffs[pos[tup]] += w
-
-        touched = [i - 1 for i in label.blocks_touched()]
+        touched = [strides[i - 1] for i in label.blocks_touched()]
+        r = p.count_positions[label.lambda_K]
         if label.kind == "A":
-            (l,) = touched
-            top = tuple(sizes)
-            below = tuple(s - (1 if i == l else 0) for i, s in enumerate(sizes))
-            add(top, 1)
-            add(below, -1)
+            (s,) = touched
+            terms = ((top, 1), (top - s, -1))
         elif label.kind == "B":
-            l1, l2 = touched
-            k = label.lambda_K
-            add(tuple(k[i] + (1 if i == l1 else 0) for i in range(t)), 1)
-            add(tuple(k[i] + (1 if i == l2 else 0) for i in range(t)), 1)
-            add(k, -1)
-            add(tuple(k[i] + (1 if i in (l1, l2) else 0) for i in range(t)), -1)
+            s1, s2 = touched
+            terms = ((r + s1, 1), (r + s2, 1), (r, -1), (r + s1 + s2, -1))
         else:
-            (l,) = touched
-            k = label.lambda_K
-            add(tuple(k[i] + (1 if i == l else 0) for i in range(t)), 2)
-            add(k, -1)
-            add(tuple(k[i] + (2 if i == l else 0) for i in range(t)), -1)
+            (s,) = touched
+            terms = ((r + s, 2), (r, -1), (r + 2 * s, -1))
+        coeffs = [0] * len(coords)
+        for x, w in terms:
+            if x:
+                coeffs[x - 1] = w
         rows.append((tuple(coeffs), label))
-    return HCone(len(free), tuple(rows), coords=free)
+    return HCone(len(coords), tuple(rows), coords=coords)
 
 
 def gamma_n_hrep(ground: GroundSet) -> HCone:
@@ -227,15 +226,13 @@ def gamma_n_hrep(ground: GroundSet) -> HCone:
 
 
 def reduced_facet_row(fid, p: Partition) -> tuple:
-    """Elemental form of a facet summed per count tuple, origin dropped."""
-    index = SymIndexSet(p)
-    free = index.free_tuples
-    pos = {tup: i for i, tup in enumerate(free)}
-    coeffs = [0] * len(free)
+    """Elemental form of a facet summed per count tuple, origin dropped:
+    the per-facet reference for the closed-form rows of `psi_p_hrep`."""
+    position, _ = p.count_index
+    coeffs = [0] * (len(p.count_tuples) - 1)
     for mask, c in elemental_form(p.ground, fid).coeffs:
-        tup = partition_vector(mask, p)
-        if any(tup):
-            coeffs[pos[tup]] += int(c)
+        if position[mask]:
+            coeffs[position[mask] - 1] += int(c)
     return tuple(coeffs)
 
 
@@ -495,14 +492,15 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
 # Orbit reduction check
 
 
-def facet_reduction_check(p: Partition, samples: int = 20, seed: int = 0) -> bool:
+def facet_reduction_check(p: Partition) -> bool:
     """Confirm the facet system of the reduced cone.
 
     Checks that (a) facets sharing an orbit label reduce to the exact
     same row, matching the closed-form row for that label; (b) rows of
     distinct labels are pairwise non-proportional; (c) membership in
     the full elemental cone and in the reduced cone agree on random
-    symmetric functions.
+    symmetric functions (`REDUCTION_SAMPLES` of them, seeded with
+    `REDUCTION_SEED`).
     """
     reduced = psi_p_hrep(p)
     by_label = {label: coeffs for coeffs, label in reduced.rows}
@@ -525,8 +523,8 @@ def facet_reduction_check(p: Partition, samples: int = 20, seed: int = 0) -> boo
         return False
 
     full = gamma_n_hrep(p.ground)
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(REDUCTION_SEED)
+    for _ in range(REDUCTION_SAMPLES):
         h = random_symmetric_function(p, rng)
         in_full = full.contains(h.values[1:])
         in_reduced = reduced.contains(to_sym(h, p).free_values())

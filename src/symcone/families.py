@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .partitions import Partition
 from .setfn import GroundSet, SetFunction, is_polymatroid, mask_of
-from .symmetry import SymIndexSet, SymVector, from_sym, symmetrize
+from .symmetry import SymVector, from_sym, symmetrize
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,8 @@ def random_symmetric_function(p: Partition, rng: random.Random) -> SetFunction:
     otherwise free symmetric values (rarely a polymatroid)."""
     if rng.random() < 0.5:
         return symmetrize(random_polymatroid(p.ground, rng), p)
-    index = SymIndexSet(p)
     values = [Fraction(0)] + [
         Fraction(rng.randint(0, 8), rng.randint(1, 3))
-        for _ in range(index.size - 1)
+        for _ in p.count_tuples[1:]
     ]
-    return from_sym(SymVector(index, tuple(values)))
+    return from_sym(SymVector(p, tuple(values)))

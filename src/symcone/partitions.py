@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .setfn import GroundSet, elements_of, mask_of
 
@@ -47,11 +48,22 @@ class Partition:
         return tuple(b.bit_count() for b in self.blocks)
 
     @cached_property
+    def count_tuples(self) -> tuple:
+        """The count tuples (k_1, ..., k_t), 0 <= k_i <= n_i, in
+        lexicographic order: the coordinates of the reduced space."""
+        return tuple(product(*(range(s + 1) for s in self.block_sizes)))
+
+    @cached_property
+    def count_positions(self) -> dict:
+        """Index of each count tuple in `count_tuples`."""
+        return {tup: r for r, tup in enumerate(self.count_tuples)}
+
+    @cached_property
     def count_index(self) -> tuple:
-        """`(position, smallest)` over the count tuples in lexicographic
-        order: `position[mask]` is the index of the count tuple of
-        `mask`, and `smallest[r]` is the smallest mask whose count
-        tuple has index `r` (the first k_i elements of each block)."""
+        """`(position, smallest)`: `position[mask]` is the index in
+        `count_tuples` of the count tuple of `mask`, and `smallest[r]`
+        is the smallest mask whose count tuple has index `r` (the first
+        k_i elements of each block)."""
         position = []
         smallest = {}
         for mask in self.ground.subsets():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, prod
 from typing import Optional
 
@@ -73,61 +72,37 @@ def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
     """
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
-    position, smallest = p.count_index
-    sums = [Fraction(0)] * len(smallest)
+    position, _ = p.count_index
+    sums = [Fraction(0)] * len(p.count_tuples)
     for a, r in enumerate(position):
         sums[r] += h.values[a]
     sizes = p.block_sizes
     means = [
-        total / prod(comb(s, (m & b).bit_count()) for s, b in zip(sizes, p.blocks))
-        for total, m in zip(sums, smallest)
+        total / prod(comb(s, k) for s, k in zip(sizes, tup))
+        for total, tup in zip(sums, p.count_tuples)
     ]
     return SetFunction(h.ground, tuple(means[r] for r in position))
 
 
-class SymIndexSet:
-    """Count tuples (k_1..k_t) of a partition, in lexicographic order."""
-
-    def __init__(self, p: Partition):
-        self.p = p
-        self.sizes = p.block_sizes
-        self.tuples = tuple(product(*(range(s + 1) for s in self.sizes)))
-        self.position = {tup: i for i, tup in enumerate(self.tuples)}
-
-    @property
-    def size(self) -> int:
-        return len(self.tuples)
-
-    @property
-    def free_tuples(self) -> tuple:
-        """All tuples except the all-zero origin."""
-        return self.tuples[1:]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymIndexSet) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(self.p)
-
-
 @dataclass(frozen=True)
 class SymVector:
-    """Reduced coordinates of a symmetric function, one per count tuple."""
+    """Reduced coordinates of a symmetric function, one per count tuple
+    of the partition, in the order of `Partition.count_tuples`."""
 
-    index: SymIndexSet
+    partition: Partition
     values: tuple
 
     def __post_init__(self) -> None:
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
                      for v in self.values)
-        if len(vals) != self.index.size:
+        if len(vals) != len(self.partition.count_tuples):
             raise ValueError("wrong number of reduced coordinates")
         if vals[0] != 0:
             raise ValueError("coordinate at the zero tuple must be 0")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, tup) -> Fraction:
-        return self.values[self.index.position[tuple(tup)]]
+        return self.values[self.partition.count_positions[tuple(tup)]]
 
     def free_values(self) -> tuple:
         """Coordinates with the origin dropped, in tuple order."""
@@ -136,7 +111,7 @@ class SymVector:
     def to_text(self) -> str:
         return "\n".join(
             ",".join(str(k) for k in tup) + " " + str(v)
-            for tup, v in zip(self.index.tuples, self.values)
+            for tup, v in zip(self.partition.count_tuples, self.values)
         )
 
 
@@ -150,12 +125,12 @@ def to_sym(h: SetFunction, p: Partition) -> SymVector:
     if bad is not None:
         raise SymmetryError(*bad)
     _, smallest = p.count_index
-    return SymVector(SymIndexSet(p), tuple(h.values[m] for m in smallest))
+    return SymVector(p, tuple(h.values[m] for m in smallest))
 
 
 def from_sym(s: SymVector) -> SetFunction:
     """Inflate reduced coordinates back to a full set function."""
-    p = s.index.p
+    p = s.partition
     position, _ = p.count_index
     return SetFunction(p.ground, tuple(s.values[r] for r in position))
 
@@ -226,7 +201,6 @@ def orbit_labels(p: Partition) -> list:
     """
     sizes = p.block_sizes
     t = p.t
-    ranges = [range(s + 1) for s in sizes]
     out = []
     for l in range(t):
         e = tuple(1 if i == l else 0 for i in range(t))
@@ -234,14 +208,14 @@ def orbit_labels(p: Partition) -> list:
     for l1 in range(t):
         for l2 in range(l1 + 1, t):
             e = tuple(1 if i in (l1, l2) else 0 for i in range(t))
-            for k in product(*ranges):
+            for k in p.count_tuples:
                 if k[l1] != sizes[l1] and k[l2] != sizes[l2]:
                     out.append(OrbitLabel(e, k))
     for l in range(t):
         if sizes[l] < 2:
             continue
         e = tuple(2 if i == l else 0 for i in range(t))
-        for k in product(*ranges):
+        for k in p.count_tuples:
             if k[l] <= sizes[l] - 2:
                 out.append(OrbitLabel(e, k))
     return out

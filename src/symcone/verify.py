@@ -9,6 +9,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .cone import (
@@ -43,8 +44,8 @@ from .setfn import (
 )
 from .symmetry import (
     OrbitLabel,
+    SymmetryError,
     SymVector,
-    is_p_symmetric,
     orbit_count_formula,
     orbit_labels,
     orbit_sizes,
@@ -238,11 +239,11 @@ def verify_gap(p: Partition) -> Verdict:
         bad = polymatroid_violation(witness)
         if bad is not None:
             return False, {"violated": str(bad)}
-        if not is_p_symmetric(witness, p):
+        try:
+            vec = _free_svector(witness, p)
+        except SymmetryError:
             return False, {"symmetry": str(p)}
-        cone = psi_p_hrep(p)
-        vec = _free_svector(witness, p)
-        if not cone.contains(vec):
+        if not psi_p_hrep(p).contains(vec):
             return False, {"membership": [str(x) for x in vec]}
         special = elements_of(coarse.blocks[0])[:2]
         other = elements_of(coarse.blocks[1])[:2]
@@ -404,10 +405,11 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         bad = polymatroid_violation(w.function)
         if bad is not None:
             return False, {"violated": str(bad)}
-        if not is_p_symmetric(w.function, p):
+        try:
+            vec = _free_svector(w.function, p)
+        except SymmetryError:
             return False, {"symmetry": str(p)}
         cone = psi_p_hrep(p)
-        vec = _free_svector(w.function, p)
         values = dict(zip((label for _, label in cone.rows), cone.row_values(vec)))
         if w.context is None:
             family = list(values)
@@ -443,8 +445,11 @@ def check_isolation(w: IsolationWitness) -> Verdict:
 # Decomposition over the two-block generator family
 
 
-def _family_vectors(n: int, p: Partition) -> list:
-    return [_free_svector(h, p) for h in family_Un(n)]
+@cache
+def _family_vectors(n: int) -> tuple:
+    """Reduced vectors of the generator family, built once per n."""
+    p = canonical_partition((1, n - 1))
+    return tuple(_free_svector(h, p) for h in family_Un(n))
 
 
 def decompose_1n(h: SetFunction, n: int, strategy: str = "lp") -> DecomposeResult:
@@ -462,7 +467,7 @@ def decompose_1n(h: SetFunction, n: int, strategy: str = "lp") -> DecomposeResul
     p = canonical_partition((1, n - 1))
     svec = to_sym(h, p)
     target = svec.free_values()
-    vectors = _family_vectors(n, p)
+    vectors = _family_vectors(n)
     if strategy == "lp":
         return conic_decompose(target, vectors)
     if strategy != "inductive":
@@ -586,33 +591,39 @@ def inductive_lift_steps(h: SetFunction, n: int) -> list:
 # Suite runner
 
 
-def run_suite(
-    psi_sizes=(2, 3, 4, 5, 6, 7),
-    two_block_sizes=(2, 3, 4, 5),
-    bijection_max_n=5,
-    gap_parts=((2, 2), (2, 3), (3, 3)),
-    isolation_max_n=5,
-    seed: int = 0,
-) -> list:
-    """Run the whole battery at the given sizes and collect verdicts."""
+# two-block shapes of the gap verdicts; all are checked at every n_max
+GAP_PARTS = ((2, 2), (2, 3), (3, 3))
+
+
+def run_suite(n_max: int = 5, seed: int = 0) -> list:
+    """Run the battery of `symcone verify --n-max n_max --seed seed`
+    and collect its verdicts.
+
+    The one-block rays are checked for n = 2..n_max.  The two-block
+    rays, the facet bijection and the isolation witnesses are checked
+    up to min(n_max, 5); the gap witnesses on `GAP_PARTS` and the
+    decompositions for n = 3, 4 (five random points each, from
+    `seed`) at every n_max.
+    """
+    small = min(n_max, 5)
     verdicts = []
-    for n in psi_sizes:
+    for n in range(2, n_max + 1):
         verdicts.append(verify_psi_n(n))
-    for n in two_block_sizes:
+    for n in range(2, small + 1):
         verdicts.append(verify_psi_1n1(n))
-    for n in range(2, bijection_max_n + 1):
+    for n in range(2, small + 1):
         for p in canonical_representatives(n):
             verdicts.append(verify_facet_bijection(p))
-    for parts in gap_parts:
-        verdicts.append(verify_gap(canonical_partition(tuple(sorted(parts)))))
-    for n in range(2, isolation_max_n + 1):
+    for parts in GAP_PARTS:
+        verdicts.append(verify_gap(canonical_partition(parts)))
+    for n in range(2, small + 1):
         for p in canonical_representatives(n):
             if p.t != 2:
                 continue
             context = canonical_partition((p.n,))
             for label in orbit_labels(p):
                 verdicts.append(check_isolation(build_isolation(p, label, context)))
-    for n in range(2, isolation_max_n + 1):
+    for n in range(2, small + 1):
         reps = canonical_representatives(n)
         for p in reps:
             for context in reps:

@@ -52,12 +52,6 @@ class TestRays:
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
 
-    def test_bad_max_dim_variable_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMCONE_MAX_DIM", "abc")
-        assert main(["facets", "--n", "2"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "SYMCONE_MAX_DIM" in err[0]
-
 
 class TestCheck:
     def test_zy_violation_exits_one(self, capsys, witness_file):

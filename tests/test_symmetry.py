@@ -28,7 +28,7 @@ from symcone import (
 )
 from symcone.setfn import FacetId
 from symcone.families import random_polymatroid, random_symmetric_function
-from symcone.symmetry import SymIndexSet, SymVector
+from symcone.symmetry import SymVector
 
 from conftest import (
     BlockPermutation,
@@ -194,8 +194,7 @@ class TestReducedCoordinates:
 
     def test_from_sym_constant_one(self):
         p = canonical_partition((1, 2))
-        index = SymIndexSet(p)
-        ones = SymVector(index, tuple([0] + [1] * (index.size - 1)))
+        ones = SymVector(p, tuple([0] + [1] * (len(p.count_tuples) - 1)))
         h = from_sym(ones)
         assert all(h(a) == 1 for a in p.ground.subsets() if a)
 

@@ -29,11 +29,13 @@ from symcone import (
     u1_loop,
     u_km,
     uniform,
+    uniform_on_support,
     verify_facet_bijection,
     verify_gap,
     verify_psi_1n1,
     verify_psi_n,
 )
+import symcone.verify as verify_module
 from symcone.verify import IsolationWitness, run_suite
 
 
@@ -101,6 +103,17 @@ class TestGap:
             verify_gap(canonical_partition((1, 3)))
         with pytest.raises(ValueError):
             verify_gap(canonical_partition((1, 1, 1)))  # n=3 cannot split 2+2
+
+    def test_non_symmetric_witness_fails(self, monkeypatch):
+        # every witness gap_witness_blocks builds is symmetric, so a
+        # polymatroid that tells element 1 from element 2 stands in
+        monkeypatch.setattr(
+            verify_module, "gap_witness_blocks",
+            lambda coarse: uniform_on_support(1, mask_of([1]), coarse.ground))
+        p = canonical_partition((2, 2))
+        v = verify_gap(p)
+        assert not v.passed
+        assert v.counterexample == {"symmetry": str(p)}
 
     def test_coarsening_search(self):
         assert two_block_coarsening(canonical_partition((1, 1, 1))) is None
@@ -202,12 +215,9 @@ class TestIsolations:
         assert check_isolation(w).passed
 
     def test_suite_checks_five_element_cover_pairs(self):
-        verdicts = run_suite(
-            psi_sizes=(), two_block_sizes=(), bijection_max_n=1,
-            gap_parts=(), isolation_max_n=5,
-        )
         # the two-block loop already uses the one-block context; cover
         # pairs are the verdicts whose context has two or more blocks
+        verdicts = run_suite(5)
         covers5 = [
             v for v in verdicts
             if v.claim == "isolation" and "|" in v.params["context"]
@@ -225,6 +235,18 @@ class TestIsolations:
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample["label"] == str(target)
+
+    def test_non_symmetric_witness_fails(self):
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        target = OrbitLabel((1, 0), (0, 0))
+        good = build_isolation(p, target, ctx)
+        # a polymatroid that tells element 1 from element 2
+        bad = IsolationWitness(p, target, ctx, good.context_label,
+                               uniform_on_support(1, mask_of([1]), p.ground))
+        v = check_isolation(bad)
+        assert not v.passed
+        assert v.counterexample == {"symmetry": str(p)}
 
     def test_unknown_label_rejected(self):
         p = canonical_partition((2, 2))
