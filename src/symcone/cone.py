@@ -5,12 +5,13 @@ All coefficient arithmetic is integer or rational.  The extreme-ray
 enumerator is an incremental double description over Python ints: one
 fraction-free elimination picks independent rows and inverts them into
 a simplicial subcone, then the remaining rows are inserted one at a
-time, combining adjacent positive/negative ray pairs.  Tight sets are
-int bitmasks and adjacency is combinatorial: no third ray is tight on
-all the rows the pair shares.  Membership tests scale each input to
-integers once and take integer dot products.  Conic decomposition is a
-phase-1 simplex with Bland's rule on a fraction-free integer tableau;
-infeasibility yields a separating functional.
+time, in the order the cone lists them, combining adjacent
+positive/negative ray pairs.  Tight sets are int bitmasks and
+adjacency is combinatorial: no third ray is tight on all the rows the
+pair shares.  Membership tests scale each input to integers once and
+take integer dot products.  Conic decomposition is a phase-1 simplex
+with Bland's rule on a fraction-free integer tableau; infeasibility
+yields a separating functional.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ class HCone:
             if value == 0
         ]
 
-    def drop_row(self, index: int) -> "HCone":
-        rows = tuple(r for i, r in enumerate(self.rows) if i != index)
-        return HCone(self.dim, rows, self.coords)
-
     def to_text(self) -> str:
         """Header `dim t labels`, then one `label: c_1 ... c_dim` row per line."""
         lines = [f"{self.dim} {len(self.rows)} labels"]
@@ -299,9 +296,9 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
 
     One integer elimination checks that the rows have full rank and
     picks the first `dim` independent rows as a basis B; the primitive
-    columns of B^-1 are the rays of the starting simplicial cone.  Rows
-    are then inserted in ascending tight-ray-count order (a heuristic
-    only; the output is independent of it).  Each ray carries its tight
+    columns of B^-1 are the rays of the starting simplicial cone.  The
+    other rows are then inserted in the order `c.rows` lists them (the
+    output does not depend on that order).  Each ray carries its tight
     set over the inserted rows as an int bitmask.  A positive/negative
     pair is adjacent iff its common tight set has at least `dim - 2`
     rows and no third ray is tight on all of them (Fukuda & Prodon,
@@ -329,18 +326,13 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     basis_mask = sum(1 << i for i in basis_idx)
     tight = [basis_mask ^ (1 << i) for i in basis_idx]
     processed = list(basis_idx)
-    remaining = [i for i in range(len(all_rows)) if i not in set(basis_idx)]
     sparse = c._sparse
 
-    while remaining:
-        values = {
-            i: [sum(a * r[k] for k, a in sparse[i]) for r in rays]
-            for i in remaining
-        }
-        best = min(remaining, key=lambda i: (values[i].count(0), i))
-        remaining.remove(best)
-        vals = values[best]
-        bit = 1 << best
+    for row in range(len(all_rows)):
+        if basis_mask >> row & 1:
+            continue
+        vals = [sum(a * r[k] for k, a in sparse[row]) for r in rays]
+        bit = 1 << row
         pos = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
@@ -375,7 +367,7 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
         rays = [rays[k] for k in pos + zero] + new_rays
         tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
                  + new_tight)
-        processed.append(best)
+        processed.append(row)
 
     return [Ray(r) for r in sorted(rays)]
 

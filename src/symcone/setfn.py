@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Optional
@@ -117,6 +118,12 @@ class SetFunction:
 
     def __call__(self, mask: int) -> Fraction:
         return self.values[mask]
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """`(ints, m)` from `_clear_denominators(self.values)`, computed
+        once per function for the integer scans."""
+        return _clear_denominators(self.values)
 
     @classmethod
     def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
@@ -238,15 +245,8 @@ def elemental_form(ground: GroundSet, fid: FacetId) -> LinearForm:
         full = ground.full_mask
         return LinearForm.make(ground, {full: Fraction(1), full ^ fid.I: Fraction(-1)})
     i_mask = fid.I & -fid.I
-    j_mask = fid.I ^ i_mask
     coeffs: dict = {}
-    for m, w in (
-        (fid.K | i_mask, 1),
-        (fid.K | j_mask, 1),
-        (fid.K, -1),
-        (fid.K | fid.I, -1),
-    ):
-        coeffs[m] = coeffs.get(m, 0) + w
+    _add_mutual_info(coeffs, i_mask, fid.I ^ i_mask, fid.K, 1)
     return LinearForm.make(ground, {m: Fraction(c) for m, c in coeffs.items()})
 
 
@@ -291,7 +291,7 @@ def polymatroid_violation(f: SetFunction) -> Optional[FacetId]:
     same order as `elemental_facet_ids`, on the values scaled to
     integers.
     """
-    vals, _ = _clear_denominators(f.values)
+    vals, _ = f._scaled
     ground = f.ground
     full = ground.full_mask
     top = vals[full]

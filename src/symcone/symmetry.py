@@ -18,7 +18,6 @@ from .partitions import Partition, partition_vector
 from .setfn import (
     FacetId,
     SetFunction,
-    _clear_denominators,
     elemental_facet_ids,
     set_text,
 )
@@ -52,7 +51,7 @@ def _symmetry_violation(h: SetFunction, p: Partition) -> Optional[tuple]:
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
     position, smallest = p.count_index
-    vals, _ = _clear_denominators(h.values)
+    vals, _ = h._scaled
     for a, r in enumerate(position):
         first = smallest[r]
         if vals[a] != vals[first]:

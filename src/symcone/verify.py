@@ -603,8 +603,10 @@ def run_suite(n_max: int = 5, seed: int = 0) -> list:
     rays, the facet bijection and the isolation witnesses are checked
     up to min(n_max, 5); the gap witnesses on `GAP_PARTS` and the
     decompositions for n = 3, 4 (five random points each, from
-    `seed`) at every n_max.
+    `seed`) at every n_max.  An n_max below 2 raises ValueError.
     """
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     small = min(n_max, 5)
     verdicts = []
     for n in range(2, n_max + 1):

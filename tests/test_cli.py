@@ -73,6 +73,18 @@ class TestCheck:
         ])
         assert code == 0
 
+    def test_membership_defaults_to_one_block(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text(uniform(2, 4).to_text())
+        assert main(["check", "--member", "--function", str(path)]) == 0
+        assert capsys.readouterr().out == "member: pass partition=1,2,3,4\n"
+
+    def test_non_polymatroid_names_violated_facet(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text((-1 * u1_loop(4)).to_text())
+        assert main(["check", "--polymatroid", "--function", str(path)]) == 1
+        assert capsys.readouterr().out == "polymatroid: FAIL violated=E(1)\n"
+
     def test_json_round_trip(self, capsys, witness_file):
         main(["check", "--zy", "--function", witness_file, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -117,6 +129,21 @@ class TestVerifySubcommand:
         assert {"claim", "params", "pass", "wall_time_ms"} <= set(payload[0])
         decompose = [e for e in payload if e["claim"] == "decompose"]
         assert decompose and all(e["wall_time_ms"] > 0 for e in decompose)
+
+    def test_text_report(self, capsys):
+        assert main(["verify", "--n-max", "2", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("pass psi-rays ")
+        assert all(line.startswith("pass ") for line in lines[:-1])
+        assert lines[-1] == f"total {len(lines) - 1} failed 0"
+
+    def test_n_max_below_two_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "-3", "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: n_max must be at least 2, got -3"
+        ]
 
 
 class TestJsonSchemas:

@@ -6,6 +6,7 @@ import pytest
 from symcone import (
     DecompositionError,
     GroundSet,
+    HCone,
     OrbitLabel,
     Partition,
     SetFunction,
@@ -60,7 +61,7 @@ class TestRayInventories:
     def test_dropping_a_row_exposes_an_extra_ray(self):
         p = canonical_partition((1, 3))
         cone = psi_p_hrep(p)
-        mutated = cone.drop_row(len(cone.rows) - 1)
+        mutated = HCone(cone.dim, cone.rows[:-1], cone.coords)
         got = {r.direction for r in extreme_rays(mutated)}
         want = {
             normalize_ray(to_sym(u, p).free_values()).direction
@@ -224,6 +225,11 @@ class TestIsolations:
             and len(v.params["partition"].replace("|", ",").split(",")) == 5
         ]
         assert covers5 and all(v.passed for v in verdicts)
+
+    def test_suite_rejects_n_max_below_two(self):
+        for n_max in (1, 0, -3):
+            with pytest.raises(ValueError, match="n_max"):
+                run_suite(n_max)
 
     def test_corrupted_witness_fails(self):
         p = canonical_partition((2, 2))
