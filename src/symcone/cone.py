@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
@@ -170,8 +170,12 @@ class HCone:
 # H-representations
 
 
+@cache
 def psi_p_hrep(p: Partition) -> HCone:
     """Reduced cone of symmetric polymatroids, one row per facet orbit.
+
+    Built once per partition: equal partitions share one immutable
+    cone for the life of the process.
 
     Coordinates are `p.count_tuples` except the all-zero origin; the
     origin coordinate is identically zero, so its coefficient is
@@ -210,8 +214,12 @@ def psi_p_hrep(p: Partition) -> HCone:
     return HCone(len(coords), tuple(rows), coords=coords)
 
 
+@cache
 def gamma_n_hrep(ground: GroundSet) -> HCone:
-    """Full elemental system over the 2**n - 1 nonempty-subset coordinates."""
+    """Full elemental system over the 2**n - 1 nonempty-subset coordinates.
+
+    Built once per ground set: equal ground sets share one immutable
+    cone for the life of the process."""
     dim = ground.full_mask
     rows = []
     for fid in elemental_facet_ids(ground):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from typing import Optional
 
@@ -196,8 +197,14 @@ def orbit_labels(p: Partition) -> list:
 
     Split-pair labels range over count tuples avoiding the full count
     in each touched block; within-block labels need a block of size at
-    least two and a count at most size-2 there.
+    least two and a count at most size-2 there.  The labels are built
+    once per partition; each call returns a fresh list of them.
     """
+    return list(_orbit_labels(p))
+
+
+@cache
+def _orbit_labels(p: Partition) -> tuple:
     sizes = p.block_sizes
     t = p.t
     out = []
@@ -217,7 +224,7 @@ def orbit_labels(p: Partition) -> list:
         for k in p.count_tuples:
             if k[l] <= sizes[l] - 2:
                 out.append(OrbitLabel(e, k))
-    return out
+    return tuple(out)
 
 
 def orbit_count_formula(p: Partition) -> int:

@@ -280,12 +280,17 @@ def _merge_positions(p: Partition, context: Partition) -> tuple:
 def collapse_label(label: OrbitLabel, p: Partition, context: Partition) -> OrbitLabel:
     """Label of the context orbit containing the labelled p-orbit."""
     _, _, posmap = _merge_positions(p, context)
-    t2 = context.t
+    return _collapse(label, posmap, context.t)
+
+
+def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> OrbitLabel:
+    """`collapse_label` through the p-block to context-block position map
+    of `_merge_positions`, for a context with `t2` blocks."""
     li = [0] * t2
     lk = [0] * t2
-    for i in range(p.t):
-        li[posmap[i]] += label.lambda_I[i]
-        lk[posmap[i]] += label.lambda_K[i]
+    for i, c in enumerate(posmap):
+        li[c] += label.lambda_I[i]
+        lk[c] += label.lambda_K[i]
     if sum(li) == 1:
         lk = [0] * t2
     return OrbitLabel(tuple(li), tuple(lk))
@@ -361,8 +366,8 @@ def build_isolation(
 
     if not covers(context, p):
         raise ValueError("context must merge exactly two blocks of the partition")
-    u, v, _ = _merge_positions(p, context)
-    ctx_label = collapse_label(target, p, context)
+    u, v, posmap = _merge_positions(p, context)
+    ctx_label = _collapse(target, posmap, context.t)
     touched = [i - 1 for i in target.blocks_touched()]
     k = target.lambda_K
     b = p.blocks
@@ -414,10 +419,11 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         if w.context is None:
             family = list(values)
         else:
+            _, _, posmap = _merge_positions(p, w.context)
             family = [
                 lab
                 for lab in values
-                if collapse_label(lab, p, w.context) == w.context_label
+                if _collapse(lab, posmap, w.context.t) == w.context_label
             ]
         if w.target not in family:
             return False, {"family": [str(lab) for lab in family]}

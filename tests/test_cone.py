@@ -10,6 +10,7 @@ from symcone import (
     GroundSet,
     HCone,
     NotPointedError,
+    Partition,
     Ray,
     UnsupportedSizeError,
     canonical_partition,
@@ -92,6 +93,25 @@ class TestHRepConstruction:
         for fid in elemental_facet_ids(p.ground):
             label = facet_orbit_label(fid, p)
             assert reduced_facet_row(fid, p) == by_label[label]
+
+
+    def test_equal_partitions_share_one_reduced_cone(self):
+        parts = [p.block_sizes for n in range(1, 7)
+                 for p in canonical_representatives(n)]
+        for p in [canonical_partition(q) for q in parts] + [
+                Partition.parse("1,3|2,4", GroundSet(4))]:
+            twin = Partition.parse(str(p), GroundSet(p.n))
+            cone = psi_p_hrep(p)
+            assert psi_p_hrep(twin) is cone
+            fresh = psi_p_hrep.__wrapped__(p)
+            assert cone.rows == fresh.rows and cone.coords == fresh.coords
+
+    def test_equal_ground_sets_share_one_full_cone(self):
+        for n in range(1, 7):
+            cone = gamma_n_hrep(GroundSet(n))
+            assert gamma_n_hrep(GroundSet(n)) is cone
+            fresh = gamma_n_hrep.__wrapped__(GroundSet(n))
+            assert cone.rows == fresh.rows and cone.coords == fresh.coords
 
 
 class TestExtremeRays:

@@ -216,6 +216,14 @@ class TestOrbitLabels:
         assert labels[0] == OrbitLabel((1,), (0,))
         assert labels[1:] == [OrbitLabel((2,), (k,)) for k in range(3)]
 
+    def test_each_call_returns_a_fresh_list(self):
+        labels = orbit_labels(canonical_partition((2, 2)))
+        want = list(labels)
+        labels.append(OrbitLabel((1, 0), (0, 0)))
+        assert orbit_labels(canonical_partition((2, 2))) == want
+        labels.clear()
+        assert orbit_labels(canonical_partition((2, 2))) == want
+
     def test_facet_label_examples(self):
         p = canonical_partition((2, 2))
         fid = FacetId(mask_of([1, 3]), mask_of([2]))

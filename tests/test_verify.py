@@ -20,6 +20,7 @@ from symcone import (
     extreme_rays,
     family_Un,
     family_Un_tags,
+    gamma_n_hrep,
     gap_witness,
     mask_of,
     normalize_ray,
@@ -36,6 +37,7 @@ from symcone import (
     verify_psi_1n1,
     verify_psi_n,
 )
+import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
 from symcone.verify import IsolationWitness, run_suite
 
@@ -231,6 +233,16 @@ class TestIsolations:
             with pytest.raises(ValueError, match="n_max"):
                 run_suite(n_max)
 
+    def test_suite_repeats_cold_and_warm(self):
+        # the cone and label builders keep what they build; a run that
+        # finds them filled must give the verdicts of one that fills them
+        for builder in (psi_p_hrep, gamma_n_hrep, symmetry_module._orbit_labels):
+            builder.cache_clear()
+        cold, warm = ([(v.claim, v.params, v.passed) for v in run_suite(4)]
+                      for _ in range(2))
+        assert cold == warm
+        assert all(passed for _, _, passed in cold)
+
     def test_corrupted_witness_fails(self):
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
@@ -253,6 +265,27 @@ class TestIsolations:
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample == {"symmetry": str(p)}
+
+    def test_context_label_of_another_orbit_fails(self):
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        target = OrbitLabel((1, 1), (0, 0))
+        good = build_isolation(p, target, ctx)
+        # the monotonicity orbit of the context does not hold the target
+        bad = IsolationWitness(p, target, ctx, OrbitLabel((1,), (0,)), good.function)
+        v = check_isolation(bad)
+        assert not v.passed
+        assert v.counterexample == {"family": ["[1_2(1)|0]", "[1_2(2)|0]"]}
+
+    def test_witness_strict_on_another_family_row_fails(self):
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        target = OrbitLabel((1, 0), (0, 0))
+        # the counting rank is strict on both monotonicity rows
+        w = IsolationWitness(p, target, ctx, OrbitLabel((1,), (0,)), uniform(4, 4))
+        v = check_isolation(w)
+        assert not v.passed
+        assert v.counterexample == {"label": "[1_2(2)|0]", "value": "1"}
 
     def test_unknown_label_rejected(self):
         p = canonical_partition((2, 2))
