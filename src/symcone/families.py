@@ -231,13 +231,14 @@ def build_family(tag: str) -> SetFunction:
 
 def random_polymatroid(ground: GroundSet, rng: random.Random) -> SetFunction:
     """Random conic combination of uniform-on-support rank functions."""
-    total = SetFunction(ground, (0,) * (1 << ground.n))
+    terms = []
     for _ in range(rng.randint(1, 4)):
         support = rng.randint(1, ground.full_mask)
         rank = rng.randint(1, support.bit_count())
-        weight = Fraction(rng.randint(0, 6), rng.randint(1, 4))
-        total = total + weight * uniform_on_support(rank, support, ground)
-    return total
+        terms.append((Fraction(rng.randint(0, 6), rng.randint(1, 4)), rank, support))
+    return SetFunction.from_callable(
+        ground, lambda a: sum(w * min(r, (a & s).bit_count()) for w, r, s in terms)
+    )
 
 
 def random_symmetric_function(p: Partition, rng: random.Random) -> SetFunction:

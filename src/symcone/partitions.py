@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from typing import Optional
 
 from .setfn import GroundSet, elements_of, mask_of
 
@@ -81,13 +82,14 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str, ground: GroundSet) -> "Partition":
-        """Parse the `1,2|3,4` block syntax."""
+        """Parse the `1,2|3,4` block syntax; an element outside the
+        ground set is named in the ValueError."""
         blocks = []
         for chunk in text.split("|"):
             els = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
             if not els:
                 raise ValueError(f"empty block in partition literal {text!r}")
-            blocks.append(mask_of(els))
+            blocks.append(sum({ground.singleton(e) for e in els}))
         return cls(ground, tuple(blocks))
 
     def to_json(self) -> list:
@@ -101,30 +103,35 @@ def partition_vector(A: int, p: Partition) -> PartitionVector:
     return tuple((A & b).bit_count() for b in p.blocks)
 
 
-def refines(p1: Partition, p2: Partition) -> bool:
-    """True iff every block of p2 is a union of blocks of p1."""
-    if p1.ground != p2.ground:
+def block_map(fine: Partition, coarse: Partition) -> Optional[tuple]:
+    """For each block of `fine`, the position in `coarse.blocks` of the
+    block holding it; None when `coarse` does not coarsen `fine`.
+
+    The one derivation of a coarsening: `refines`, `covers` and the
+    isolation checks all read it.
+    """
+    if fine.ground != coarse.ground:
         raise ValueError("partitions live on different ground sets")
-    for b2 in p2.blocks:
-        covered = 0
-        for b1 in p1.blocks:
-            if b1 & b2:
-                if b1 & ~b2:
-                    return False
-                covered |= b1
-        if covered != b2:
-            return False
-    return True
+    posmap = []
+    for b in fine.blocks:
+        # both partitions cover the ground set, so some coarse block meets b
+        i = next(i for i, cb in enumerate(coarse.blocks) if cb & b)
+        if b & ~coarse.blocks[i]:
+            return None
+        posmap.append(i)
+    return tuple(posmap)
+
+
+def refines(p1: Partition, p2: Partition) -> bool:
+    """True iff every block of p2 is a union of blocks of p1; raises
+    ValueError when the ground sets differ."""
+    return block_map(p1, p2) is not None
 
 
 def covers(p2: Partition, p1: Partition) -> bool:
-    """True iff p2 is obtained from p1 by merging exactly two blocks."""
-    if p1.ground != p2.ground:
-        raise ValueError("partitions live on different ground sets")
-    if p2.t != p1.t - 1 or not refines(p1, p2):
-        return False
-    merged = [b2 for b2 in p2.blocks if b2 not in set(p1.blocks)]
-    return len(merged) == 1
+    """True iff p2 is obtained from p1 by merging exactly two blocks,
+    that is, p2 coarsens p1 and has one block fewer."""
+    return refines(p1, p2) and p2.t == p1.t - 1
 
 
 @lru_cache(maxsize=None)

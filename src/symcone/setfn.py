@@ -151,7 +151,8 @@ class SetFunction:
 
     @classmethod
     def from_text(cls, text: str, n: Optional[int] = None) -> "SetFunction":
-        """Parse the `mask value` line format; missing masks default to 0."""
+        """Parse the `mask value` line format; missing masks default to 0.
+        A malformed line or a negative or repeated mask raises ValueError."""
         entries = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -160,7 +161,13 @@ class SetFunction:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"bad set-function line: {raw!r}")
-            entries[int(parts[0])] = Fraction(parts[1])
+            try:
+                mask, value = int(parts[0]), Fraction(parts[1])
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad set-function line: {raw!r}") from None
+            if mask < 0 or mask in entries:
+                raise ValueError(f"negative or repeated mask in line: {raw!r}")
+            entries[mask] = value
         if not entries:
             raise ValueError("empty set-function input")
         if n is None:

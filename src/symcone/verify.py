@@ -29,6 +29,7 @@ from .families import (
 )
 from .partitions import (
     Partition,
+    block_map,
     canonical_partition,
     canonical_representatives,
     covers,
@@ -37,9 +38,7 @@ from .setfn import (
     GroundSet,
     SetFunction,
     elements_of,
-    mask_of,
     polymatroid_violation,
-    restrict,
     zhang_yeung_form,
 )
 from .symmetry import (
@@ -48,7 +47,6 @@ from .symmetry import (
     SymVector,
     orbit_count_formula,
     orbit_labels,
-    orbit_sizes,
     to_sym,
 )
 
@@ -177,14 +175,9 @@ def verify_facet_bijection(p: Partition) -> Verdict:
 
     def run():
         expected = orbit_count_formula(p)
-        labels = orbit_labels(p)
-        direct = orbit_sizes(p)
-        if len(labels) != expected or set(direct) != set(labels):
-            return False, {
-                "formula": expected,
-                "enumerated": len(labels),
-                "direct": len(direct),
-            }
+        enumerated = len(orbit_labels(p))
+        if enumerated != expected:
+            return False, {"formula": expected, "enumerated": enumerated}
         if not facet_reduction_check(p):
             return False, {"reduction": str(p)}
         return True, None
@@ -211,7 +204,8 @@ def two_block_coarsening(p: Partition) -> Optional[Partition]:
 
 def verify_gap(p: Partition) -> Verdict:
     """A symmetric polymatroid in the reduced cone violating the
-    four-variable non-Shannon inequality on a restriction.
+    four-variable non-Shannon inequality, with two roles taken from
+    each block of a two-block coarsening.
 
     Applicable to two-block partitions with both blocks >= 2 and to
     finer partitions coarsenable to one; for the one-block partition or
@@ -245,12 +239,8 @@ def verify_gap(p: Partition) -> Verdict:
             return False, {"symmetry": str(p)}
         if not psi_p_hrep(p).contains(vec):
             return False, {"membership": [str(x) for x in vec]}
-        special = elements_of(coarse.blocks[0])[:2]
-        other = elements_of(coarse.blocks[1])[:2]
-        chosen = sorted(special + other)
-        restricted = restrict(witness, mask_of(chosen))
-        roles = tuple(chosen.index(e) + 1 for e in special + other)
-        value = zhang_yeung_form(GroundSet(4), roles).evaluate(restricted)
+        first, second = (elements_of(b)[:2] for b in coarse.blocks)
+        value = zhang_yeung_form(p.ground, first + second).evaluate(witness)
         if value != -1:
             return False, {"zy_value": str(value)}
         return True, None
@@ -262,30 +252,22 @@ def verify_gap(p: Partition) -> Verdict:
 # Isolation witnesses
 
 
-def _merge_positions(p: Partition, context: Partition) -> tuple:
-    """Positions (u, v) of the two p-blocks merged in the context, plus
-    the map from p-block position to context-block position."""
-    posmap = []
-    for b in p.blocks:
-        idx = next(i for i, cb in enumerate(context.blocks) if cb & b)
-        if b & ~context.blocks[idx]:
-            raise ValueError("context does not coarsen the partition")
-        posmap.append(idx)
-    merged = [i for i in range(p.t) if posmap.count(posmap[i]) == 2]
-    if len(merged) != 2:
-        raise ValueError("context must merge exactly two blocks")
-    return merged[0], merged[1], tuple(posmap)
+def _merge_map(p: Partition, context: Partition) -> tuple:
+    """`block_map(p, context)`; ValueError unless it merges two blocks."""
+    if not covers(context, p):
+        raise ValueError("context must merge exactly two blocks of the partition")
+    return block_map(p, context)
 
 
 def collapse_label(label: OrbitLabel, p: Partition, context: Partition) -> OrbitLabel:
-    """Label of the context orbit containing the labelled p-orbit."""
-    _, _, posmap = _merge_positions(p, context)
-    return _collapse(label, posmap, context.t)
+    """Label of the context orbit containing the labelled p-orbit; the
+    context must merge exactly two blocks of p, else ValueError."""
+    return OrbitLabel(*_collapse(label, _merge_map(p, context), context.t))
 
 
-def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> OrbitLabel:
-    """`collapse_label` through the p-block to context-block position map
-    of `_merge_positions`, for a context with `t2` blocks."""
+def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
+    """The count tuples `(lambda_I, lambda_K)` of `collapse_label`,
+    through the block map `posmap` into a context with `t2` blocks."""
     li = [0] * t2
     lk = [0] * t2
     for i, c in enumerate(posmap):
@@ -293,7 +275,7 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> OrbitLabel:
         lk[c] += label.lambda_K[i]
     if sum(li) == 1:
         lk = [0] * t2
-    return OrbitLabel(tuple(li), tuple(lk))
+    return tuple(li), tuple(lk)
 
 
 def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
@@ -364,10 +346,10 @@ def build_isolation(
             fn = uniform(target.lambda_K[0] + 1, n)
         return IsolationWitness(p, target, None, None, fn)
 
-    if not covers(context, p):
-        raise ValueError("context must merge exactly two blocks of the partition")
-    u, v, posmap = _merge_positions(p, context)
-    ctx_label = _collapse(target, posmap, context.t)
+    posmap = _merge_map(p, context)
+    # the merged pair: the two p-blocks sharing a context block
+    u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
+    ctx_label = OrbitLabel(*_collapse(target, posmap, context.t))
     touched = [i - 1 for i in target.blocks_touched()]
     k = target.lambda_K
     b = p.blocks
@@ -419,11 +401,11 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         if w.context is None:
             family = list(values)
         else:
-            _, _, posmap = _merge_positions(p, w.context)
+            posmap = _merge_map(p, w.context)
+            label = w.context_label  # None on a hand-built witness: empty family
+            want = None if label is None else (label.lambda_I, label.lambda_K)
             family = [
-                lab
-                for lab in values
-                if _collapse(lab, posmap, w.context.t) == w.context_label
+                lab for lab in values if _collapse(lab, posmap, w.context.t) == want
             ]
         if w.target not in family:
             return False, {"family": [str(lab) for lab in family]}

@@ -85,6 +85,14 @@ class TestCheck:
         assert main(["check", "--polymatroid", "--function", str(path)]) == 1
         assert capsys.readouterr().out == "polymatroid: FAIL violated=E(1)\n"
 
+    def test_zero_denominator_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 1/0\n")
+        assert main(["check", "--function", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_json_round_trip(self, capsys, witness_file):
         main(["check", "--zy", "--function", witness_file, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)

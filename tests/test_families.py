@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from symcone import (
     u1_loop,
     u_km,
     uniform,
+    uniform_on_support,
     zhang_yeung_form,
 )
+from symcone.families import random_polymatroid
 
 
 def brute_expansion_oracle(h, phi):
@@ -245,3 +248,20 @@ class TestFamilyTags:
         assert phi.images[0] == mask_of([1, 2])
         assert phi.images[1:] == (mask_of([3]), mask_of([4]), mask_of([5]))
         assert phi_map(3, 4).images[0] == 0
+
+
+class TestRandomPolymatroid:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_replays_as_sum_of_uniform_ranks(self, seed):
+        for n in range(1, 6):
+            ground = GroundSet(n)
+            rng, replay = random.Random(seed), random.Random(seed)
+            for _ in range(3):  # successive samples from one stream
+                want = SetFunction(ground, (0,) * (1 << n))
+                for _ in range(replay.randint(1, 4)):
+                    support = replay.randint(1, ground.full_mask)
+                    rank = replay.randint(1, support.bit_count())
+                    weight = Fraction(replay.randint(0, 6), replay.randint(1, 4))
+                    want = want + weight * uniform_on_support(rank, support, ground)
+                assert random_polymatroid(ground, rng).values == want.values
+                assert rng.getstate() == replay.getstate()

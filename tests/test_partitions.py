@@ -12,6 +12,7 @@ from symcone import (
     partition_vector,
     refines,
 )
+from symcone.partitions import block_map
 
 from conftest import all_set_partitions, brute_integer_partition_count
 
@@ -41,6 +42,12 @@ class TestPartitionType:
     def test_parse_rejects_empty_block(self):
         with pytest.raises(ValueError):
             Partition.parse("1,2||3,4", GroundSet(4))
+
+    def test_parse_names_element_outside_ground(self):
+        with pytest.raises(ValueError, match="element 0 outside ground set 1..4"):
+            Partition.parse("0,1|2,3,4", GroundSet(4))
+        with pytest.raises(ValueError, match="element 5 outside ground set 1..4"):
+            Partition.parse("1,2|3,5", GroundSet(4))
 
 
 class TestPartitionVector:
@@ -108,6 +115,36 @@ class TestRefinesAndCovers:
     def test_mismatched_grounds_rejected(self):
         with pytest.raises(ValueError):
             refines(canonical_partition((3,)), canonical_partition((4,)))
+        with pytest.raises(ValueError, match="different ground sets"):
+            block_map(canonical_partition((1, 2)), canonical_partition((4,)))
+
+    def test_match_brute_force_on_all_set_partitions(self):
+        for n in range(1, 6):
+            parts = all_set_partitions(n)
+            for p1 in parts:
+                pairs = [
+                    (b1, b2)
+                    for i, b1 in enumerate(p1.blocks)
+                    for b2 in p1.blocks[i + 1:]
+                ]
+                merges = [
+                    set(p1.blocks) - {b1, b2} | {b1 | b2} for b1, b2 in pairs
+                ]
+                for p2 in parts:
+                    unions = all(
+                        b2 == sum(b1 for b1 in p1.blocks if not b1 & ~b2)
+                        for b2 in p2.blocks
+                    )
+                    assert refines(p1, p2) == unions
+                    assert covers(p2, p1) == (set(p2.blocks) in merges)
+
+    def test_block_map(self):
+        g = GroundSet(4)
+        p = Partition.parse("1,3|2,4", g)
+        assert block_map(p, canonical_partition((4,))) == (0, 0)
+        assert block_map(Partition.parse("3|2,4|1", g), p) == (0, 1, 0)
+        assert block_map(p, canonical_partition((2, 2))) is None
+        assert block_map(canonical_partition((2, 2)), p) is None
 
 
 class TestCanonicalRepresentatives:

@@ -216,6 +216,14 @@ class TestSerialization:
             SetFunction.from_text("1 2 3")
         with pytest.raises(ValueError):
             SetFunction.from_text("")
+        for text, line in [
+            ("1 1/0", "1 1/0"),
+            ("x 1", "x 1"),
+            ("1 2\n-2 1", "-2 1"),
+            ("1 2\n2 1\n1 3", "1 3"),
+        ]:
+            with pytest.raises(ValueError, match=repr(line)):
+                SetFunction.from_text(text)
 
     def test_empty_set_value_must_vanish(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from symcone import (
     verify_psi_1n1,
     verify_psi_n,
 )
+import symcone.cone as cone_module
 import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
 from symcone.verify import IsolationWitness, run_suite
@@ -86,6 +87,31 @@ class TestFacetBijection:
     def test_reports_counts(self):
         v = verify_facet_bijection(canonical_partition((2, 2)))
         assert v.passed and v.params == {"partition": "1,2|3,4"}
+
+    def test_facet_label_outside_cone_fails(self, monkeypatch):
+        p = canonical_partition((2, 2))
+        psi_p_hrep(p)  # build the cone before the labelling is corrupted
+        real = cone_module.facet_orbit_label
+        first = []
+
+        def corrupt(fid, q):
+            if not first:
+                first.append(fid)
+                return OrbitLabel((2, 0), (1, 0))  # not a facet orbit of p
+            return real(fid, q)
+
+        monkeypatch.setattr(cone_module, "facet_orbit_label", corrupt)
+        v = verify_facet_bijection(p)
+        assert not v.passed
+        assert v.counterexample == {"reduction": str(p)}
+
+    def test_count_off_by_one_fails(self, monkeypatch):
+        p = canonical_partition((2, 2))
+        real = verify_module.orbit_count_formula
+        monkeypatch.setattr(verify_module, "orbit_count_formula", lambda q: real(q) + 1)
+        v = verify_facet_bijection(p)
+        assert not v.passed
+        assert v.counterexample == {"formula": 13, "enumerated": 12}
 
 
 class TestGap:
@@ -277,6 +303,15 @@ class TestIsolations:
         assert not v.passed
         assert v.counterexample == {"family": ["[1_2(1)|0]", "[1_2(2)|0]"]}
 
+    def test_missing_context_label_fails(self):
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        good = build_isolation(p, OrbitLabel((1, 0), (0, 0)), ctx)
+        bad = IsolationWitness(p, good.target, ctx, None, good.function)
+        v = check_isolation(bad)
+        assert not v.passed
+        assert v.counterexample == {"family": []}
+
     def test_witness_strict_on_another_family_row_fails(self):
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
@@ -304,6 +339,14 @@ class TestIsolations:
         with pytest.raises(ValueError):
             build_isolation(p, orbit_labels(p)[0], None)
 
+    def test_check_rejects_context_that_does_not_cover(self):
+        p = canonical_partition((1, 1, 2))
+        good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
+        bad = IsolationWitness(p, good.target, canonical_partition((4,)),
+                               OrbitLabel((1,), (0,)), good.function)
+        with pytest.raises(ValueError, match="merge exactly two blocks"):
+            check_isolation(bad)
+
 
 class TestCollapse:
     def test_examples(self):
@@ -313,6 +356,18 @@ class TestCollapse:
         assert collapse_label(lab, p, ctx) == OrbitLabel((2, 0), (0, 1))
         mono = OrbitLabel((1, 0, 0), (0, 0, 0))
         assert collapse_label(mono, p, ctx) == OrbitLabel((1, 0), (0, 0))
+
+    def test_context_on_another_ground_rejected(self):
+        lab = OrbitLabel((1, 0, 0, 0), (0, 0, 0, 0))
+        p = canonical_partition((1, 1, 1, 1))
+        with pytest.raises(ValueError, match="different ground sets"):
+            collapse_label(lab, p, canonical_partition((1, 2)))
+
+    def test_context_merging_more_than_two_blocks_rejected(self):
+        lab = OrbitLabel((1, 0, 0), (0, 0, 0))
+        p = canonical_partition((1, 1, 2))
+        with pytest.raises(ValueError, match="merge exactly two blocks"):
+            collapse_label(lab, p, canonical_partition((4,)))
 
 
 class TestDecompose1n:
