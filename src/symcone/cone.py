@@ -31,6 +31,7 @@ from .setfn import (
     _clear_denominators,
     elemental_facet_ids,
     elemental_form,
+    elemental_rows,
     is_polymatroid,
 )
 from .symmetry import facet_orbit_label, orbit_labels, to_sym
@@ -218,14 +219,17 @@ def psi_p_hrep(p: Partition) -> HCone:
 def gamma_n_hrep(ground: GroundSet) -> HCone:
     """Full elemental system over the 2**n - 1 nonempty-subset coordinates.
 
-    Built once per ground set: equal ground sets share one immutable
-    cone for the life of the process."""
+    One row per entry of `elemental_rows`, in its order: +1 at the
+    coordinates of a and b, -1 at those of c and d, the empty set
+    dropped.  Built once per ground set: equal ground sets share one
+    immutable cone for the life of the process."""
     dim = ground.full_mask
     rows = []
-    for fid in elemental_facet_ids(ground):
+    for fid, terms in elemental_rows(ground).items():
         coeffs = [0] * dim
-        for mask, c in elemental_form(ground, fid).coeffs:
-            coeffs[mask - 1] += int(c)
+        for mask, c in zip(terms, (1, 1, -1, -1)):
+            if mask:
+                coeffs[mask - 1] = c
         rows.append((tuple(coeffs), fid))
     return HCone(dim, tuple(rows), coords=tuple(range(1, dim + 1)))
 

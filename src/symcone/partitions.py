@@ -83,13 +83,17 @@ class Partition:
     @classmethod
     def parse(cls, text: str, ground: GroundSet) -> "Partition":
         """Parse the `1,2|3,4` block syntax; an element outside the
-        ground set is named in the ValueError."""
+        ground set, or repeated within a block, is named in the
+        ValueError."""
         blocks = []
         for chunk in text.split("|"):
             els = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
             if not els:
                 raise ValueError(f"empty block in partition literal {text!r}")
-            blocks.append(sum({ground.singleton(e) for e in els}))
+            repeated = next((e for e in els if els.count(e) > 1), None)
+            if repeated is not None:
+                raise ValueError(f"element {repeated} repeated in partition literal {text!r}")
+            blocks.append(sum(ground.singleton(e) for e in els))
         return cls(ground, tuple(blocks))
 
     def to_json(self) -> list:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb, lcm
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 #: Largest ground set stored densely (2**n values per function).
@@ -244,19 +245,6 @@ class FacetId:
         return f"E({els[0]},{els[1]}|{ktxt})"
 
 
-def elemental_form(ground: GroundSet, fid: FacetId) -> LinearForm:
-    """The elemental inequality ('>=0') carried by a facet identifier."""
-    if fid.I | fid.K > ground.full_mask:
-        raise ValueError("facet id out of range for ground set")
-    if fid.I.bit_count() == 1:
-        full = ground.full_mask
-        return LinearForm.make(ground, {full: Fraction(1), full ^ fid.I: Fraction(-1)})
-    i_mask = fid.I & -fid.I
-    coeffs: dict = {}
-    _add_mutual_info(coeffs, i_mask, fid.I ^ i_mask, fid.K, 1)
-    return LinearForm.make(ground, {m: Fraction(c) for m, c in coeffs.items()})
-
-
 def submasks(sup: int):
     """All subsets of a mask, in ascending numeric order."""
     s = 0
@@ -267,21 +255,45 @@ def submasks(sup: int):
         s = (s - sup) & sup
 
 
-def elemental_facet_ids(ground: GroundSet) -> list[FacetId]:
-    """All facet identifiers: E(i) for each i, then E(i,j|K) in order."""
-    n = ground.n
-    out = [FacetId(ground.singleton(i)) for i in range(1, n + 1)]
+@cache
+def elemental_rows(ground: GroundSet) -> MappingProxyType:
+    """The elemental system, the one place it is enumerated: a
+    read-only ordered mapping from each facet identifier to the masks
+    `(a, b, c, d)` of h(a) + h(b) - h(c) - h(d) >= 0.
+
+    First E(i) = `(N, 0, N - i, 0)` for i = 1..n (h(0) = 0), then
+    E(i,j|K) = `(K + i, K + j, K, K + ij)` for i < j, K ascending.  The
+    nonzero masks of a row are distinct.  Built once per ground set.
+    """
+    n, full = ground.n, ground.full_mask
+    rows = {}
+    for i in range(1, n + 1):
+        m = ground.singleton(i)
+        rows[FacetId(m)] = (full, 0, full ^ m, 0)
     for i, j in combinations(range(1, n + 1), 2):
-        pair = ground.singleton(i) | ground.singleton(j)
-        rest = ground.full_mask ^ pair
-        for k in submasks(rest):
-            out.append(FacetId(pair, k))
-    return out
+        mi, mj = ground.singleton(i), ground.singleton(j)
+        for k in submasks(full ^ mi ^ mj):
+            rows[FacetId(mi | mj, k)] = (k | mi, k | mj, k, k | mi | mj)
+    return MappingProxyType(rows)
+
+
+def elemental_form(ground: GroundSet, fid: FacetId) -> LinearForm:
+    """The elemental inequality ('>=0') carried by a facet identifier:
+    its row of `elemental_rows`.  ValueError if `fid` names no row."""
+    terms = elemental_rows(ground).get(fid)
+    if terms is None:
+        raise ValueError("facet id out of range for ground set")
+    return LinearForm(ground, tuple(zip(terms, (1, 1, -1, -1))))
+
+
+def elemental_facet_ids(ground: GroundSet) -> list[FacetId]:
+    """All facet identifiers, in table order, as a fresh list."""
+    return list(elemental_rows(ground))
 
 
 def elemental_forms(ground: GroundSet) -> list[tuple[FacetId, LinearForm]]:
     """One inequality per facet of the polymatroid cone."""
-    return [(fid, elemental_form(ground, fid)) for fid in elemental_facet_ids(ground)]
+    return [(fid, elemental_form(ground, fid)) for fid in elemental_rows(ground)]
 
 
 def elemental_count(n: int) -> int:
@@ -292,28 +304,12 @@ def elemental_count(n: int) -> int:
 
 
 def polymatroid_violation(f: SetFunction) -> Optional[FacetId]:
-    """First elemental inequality violated by `f`, or None if none is.
-
-    Scans E(i) for i = 1..n first, then the conditional forms in the
-    same order as `elemental_facet_ids`, on the values scaled to
-    integers.
-    """
+    """First elemental inequality violated by `f`, or None if none is:
+    one scan of `elemental_rows` on the values scaled to integers."""
     vals, _ = f._scaled
-    ground = f.ground
-    full = ground.full_mask
-    top = vals[full]
-    for i in range(1, ground.n + 1):
-        m = ground.singleton(i)
-        if top - vals[full ^ m] < 0:
-            return FacetId(m)
-    for i, j in combinations(range(1, ground.n + 1), 2):
-        mi = ground.singleton(i)
-        mj = ground.singleton(j)
-        pair = mi | mj
-        rest = full ^ pair
-        for k in submasks(rest):
-            if vals[k | mi] + vals[k | mj] - vals[k] - vals[k | pair] < 0:
-                return FacetId(pair, k)
+    for fid, (a, b, c, d) in elemental_rows(f.ground).items():
+        if vals[a] + vals[b] - vals[c] - vals[d] < 0:
+            return fid
     return None
 
 

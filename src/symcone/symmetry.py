@@ -65,20 +65,22 @@ def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
 
     Computed by the closed form: the value on A is the mean of h over
     all subsets sharing A's count tuple, the orbit size being a
-    product of binomials.  One pass sums h per count tuple through
-    `Partition.count_index`, a second reads the means back per subset.
-    Equals the |group|-term average but costs O(2**n) instead of
-    O(prod n_i!).
+    product of binomials.  One pass sums the integer-scaled values of h
+    (`h._scaled`, common denominator m) per count tuple through
+    `Partition.count_index`; each mean is then one
+    `Fraction(total, m * orbit_size)`, read back per subset.  Equals
+    the |group|-term average but costs O(2**n) instead of O(prod n_i!).
     """
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
     position, _ = p.count_index
-    sums = [Fraction(0)] * len(p.count_tuples)
+    vals, m = h._scaled
+    sums = [0] * len(p.count_tuples)
     for a, r in enumerate(position):
-        sums[r] += h.values[a]
+        sums[r] += vals[a]
     sizes = p.block_sizes
     means = [
-        total / prod(comb(s, k) for s, k in zip(sizes, tup))
+        Fraction(total, m * prod(comb(s, k) for s, k in zip(sizes, tup)))
         for total, tup in zip(sums, p.count_tuples)
     ]
     return SetFunction(h.ground, tuple(means[r] for r in position))

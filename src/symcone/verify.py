@@ -89,15 +89,16 @@ class Verdict:
 class IsolationWitness:
     """Function pinned to every facet orbit of a context family except one.
 
-    `context` is the coarser partition whose orbit is being split; None
-    stands for the virtual coarsest context in which all facets form a
-    single orbit (used above the one-block partition).
+    `context` is the coarser partition, merging exactly two blocks of
+    `partition`, whose orbit is being split.  The family is the set of
+    p-orbits that collapse onto the context orbit of `target`; it is
+    derived from `target`, not stored.  Above the one-block partition
+    there is no coarser context: `verify_psi_n` checks that case.
     """
 
     partition: Partition
     target: OrbitLabel
-    context: Optional[Partition]
-    context_label: Optional[OrbitLabel]
+    context: Partition
     function: SetFunction
 
 
@@ -129,7 +130,8 @@ def _ray_set_comparison(cone, expected_functions, p):
 
 def verify_psi_n(n: int) -> Verdict:
     """The fully symmetric cone has exactly the uniform-matroid rays,
-    each tight on all facet rows but one."""
+    each tight on all facet rows but one: the isolation check of the
+    one-block partition, whose facets form a single family."""
     if n < 2:
         raise ValueError("needs n >= 2")
     p = canonical_partition((n,))
@@ -270,9 +272,9 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
     through the block map `posmap` into a context with `t2` blocks."""
     li = [0] * t2
     lk = [0] * t2
-    for i, c in enumerate(posmap):
-        li[c] += label.lambda_I[i]
-        lk[c] += label.lambda_K[i]
+    for c, ki, kk in zip(posmap, label.lambda_I, label.lambda_K):
+        li[c] += ki
+        lk[c] += kk
     if sum(li) == 1:
         lk = [0] * t2
     return tuple(li), tuple(lk)
@@ -319,37 +321,21 @@ def _mixed_pair_witness(p: Partition, u: int, v: int, ku: int, kv: int) -> SetFu
     )
 
 
-def build_isolation(
-    p: Partition, target: OrbitLabel, context: Optional[Partition]
-) -> IsolationWitness:
-    """Construct the explicit witness isolating a facet orbit.
+def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> IsolationWitness:
+    """Construct the explicit witness isolating a facet orbit of p
+    inside its context family.
 
-    With `context=None` (all facets one orbit) the partition must have a
-    single block and the uniform matroids do the job.  Otherwise the
-    context must merge exactly two blocks of p; the witness is a
-    counting rank, a truncated counting rank, a uniform rank supported
-    on two or three blocks, or the piecewise split-pair function,
-    depending on where the target label touches the merged pair.
+    `target` must label a facet orbit of p, and `context` must merge
+    exactly two blocks of p; else ValueError.  The witness is a counting
+    rank, a truncated counting rank, a uniform rank supported on two or
+    three blocks, or the piecewise split-pair function, depending on
+    where the target label touches the merged pair.
     """
     if target not in set(orbit_labels(p)):
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
-    if context is None:
-        if p.t != 1:
-            raise ValueError(
-                "the virtual all-facets context applies only to the "
-                "one-block partition"
-            )
-        n = p.n
-        if target.kind == "A":
-            fn = uniform(n, n)
-        else:
-            fn = uniform(target.lambda_K[0] + 1, n)
-        return IsolationWitness(p, target, None, None, fn)
-
     posmap = _merge_map(p, context)
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
-    ctx_label = OrbitLabel(*_collapse(target, posmap, context.t))
     touched = [i - 1 for i in target.blocks_touched()]
     k = target.lambda_K
     b = p.blocks
@@ -377,14 +363,17 @@ def build_isolation(
             fn = uniform_on_support(
                 k[u] + k[l1] + k[l2] + 1, b[u] | b[l1] | b[l2], p.ground
             )
-    return IsolationWitness(p, target, context, ctx_label, fn)
+    return IsolationWitness(p, target, context, fn)
 
 
 def check_isolation(w: IsolationWitness) -> Verdict:
     """Verify the three isolation conditions exactly.
 
     Membership in the reduced cone, strict slack on the target orbit's
-    row, equality on every other row of the context family.
+    row, equality on every other row of the context family: the rows
+    whose labels collapse through `w.context` onto the collapse of
+    `w.target`.  A target outside that family (not a facet orbit of p)
+    fails with the family as counterexample.
     """
     p = w.partition
 
@@ -398,15 +387,9 @@ def check_isolation(w: IsolationWitness) -> Verdict:
             return False, {"symmetry": str(p)}
         cone = psi_p_hrep(p)
         values = dict(zip((label for _, label in cone.rows), cone.row_values(vec)))
-        if w.context is None:
-            family = list(values)
-        else:
-            posmap = _merge_map(p, w.context)
-            label = w.context_label  # None on a hand-built witness: empty family
-            want = None if label is None else (label.lambda_I, label.lambda_K)
-            family = [
-                lab for lab in values if _collapse(lab, posmap, w.context.t) == want
-            ]
+        posmap = _merge_map(p, w.context)
+        want = _collapse(w.target, posmap, w.context.t)
+        family = [lab for lab in values if _collapse(lab, posmap, w.context.t) == want]
         if w.target not in family:
             return False, {"family": [str(lab) for lab in family]}
         for lab in family:
@@ -423,7 +406,7 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         {
             "partition": str(p),
             "target": str(w.target),
-            "context": str(w.context) if w.context else "all-facets",
+            "context": str(w.context),
         },
         run,
     )

@@ -241,6 +241,33 @@ def fraction_first_violation(values, n: int):
     return None
 
 
+def dense_elemental_rows(n: int) -> list:
+    """`(coefficients, (I, K))` for each elemental inequality, straight
+    from the definition, over the 2**n - 1 nonempty-subset coordinates
+    (coordinate m - 1 for mask m): h(N) - h(N - i) >= 0 for i = 1..n,
+    then I(i;j|K) >= 0 for i < j and K ascending, in the order of
+    `fraction_first_violation`."""
+    full = (1 << n) - 1
+
+    def dense(terms):
+        coeffs = [0] * full
+        for mask, c in terms:
+            if mask:
+                coeffs[mask - 1] += c
+        return tuple(coeffs)
+
+    rows = [(dense([(full, 1), (full & ~(1 << i), -1)]), (1 << i, 0))
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = 1 << i, 1 << j
+            for k in range(full + 1):
+                if not k & (a | b):
+                    terms = [(k | a, 1), (k | b, 1), (k, -1), (k | a | b, -1)]
+                    rows.append((dense(terms), (a | b, k)))
+    return rows
+
+
 def fraction_symmetry_violation(values, blocks):
     """`(first, a)`: the first mask whose value differs from the value on
     the first mask seen with the same per-block counts, or None."""

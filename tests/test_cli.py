@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -93,6 +94,17 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_repeated_partition_element_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text(uniform(2, 4).to_text())
+        argv = ["check", "--function", str(path), "--member", "--partition", "1,1,2|3,4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: element 1 repeated in partition literal '1,1,2|3,4'"
+        ]
+
     def test_json_round_trip(self, capsys, witness_file):
         main(["check", "--zy", "--function", witness_file, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -144,6 +156,15 @@ class TestVerifySubcommand:
         assert lines[0].startswith("pass psi-rays ")
         assert all(line.startswith("pass ") for line in lines[:-1])
         assert lines[-1] == f"total {len(lines) - 1} failed 0"
+
+    def test_text_report_bytes_pinned(self, capsys):
+        # any change to the verdict order, params or status shows here
+        assert main(["verify", "--n-max", "4", "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "total 132 failed 0"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "60b04f4198a450a7cbf9aa092d5645cd339627e7f7c078add8ac04c46f5153cb"
+        )
 
     def test_n_max_below_two_is_usage_error(self, capsys):
         assert main(["verify", "--n-max", "-3", "--format", "text"]) == 2

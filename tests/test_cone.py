@@ -12,6 +12,7 @@ from symcone import (
     NotPointedError,
     Partition,
     Ray,
+    SetFunction,
     UnsupportedSizeError,
     canonical_partition,
     canonical_representatives,
@@ -30,17 +31,20 @@ from symcone import (
     u1_loop,
     uniform,
 )
-from symcone.families import random_symmetric_function
+from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import elemental_facet_ids
 from symcone.symmetry import facet_orbit_label
 
 from conftest import (
     brute_force_rays,
+    dense_elemental_rows,
     fraction_conic_decompose,
     fraction_contains,
+    fraction_first_violation,
     fraction_rank,
     fraction_row_values,
     is_certified_ray,
+    random_rational_function,
 )
 
 
@@ -80,6 +84,31 @@ class TestHRepConstruction:
             cone = gamma_n_hrep(GroundSet(n))
             assert len(cone.rows) == elemental_count(n)
             assert cone.dim == (1 << n) - 1
+
+    def test_gamma_rows_match_definition(self):
+        for n in range(1, 7):
+            got = [(coeffs, (fid.I, fid.K))
+                   for coeffs, fid in gamma_n_hrep(GroundSet(n)).rows]
+            assert got == dense_elemental_rows(n)
+
+    def test_gamma_first_negative_row_is_first_violation(self, rng):
+        seen = set()
+        for n in (1, 2, 3, 4, 5):
+            ground = GroundSet(n)
+            cone = gamma_n_hrep(ground)
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    f = random_rational_function(ground, rng)
+                else:
+                    vals = list(random_polymatroid(ground, rng).values)
+                    vals[rng.randint(1, ground.full_mask)] -= Fraction(1, rng.randint(1, 7))
+                    f = SetFunction(ground, tuple(vals))
+                values = cone.row_values(f.values[1:])
+                first = next((fid for (_, fid), x in zip(cone.rows, values) if x < 0), None)
+                want = fraction_first_violation(f.values, n)
+                assert want == (None if first is None else (first.I, first.K))
+                seen.add(None if want is None else want[1] != 0)
+        assert seen == {None, False, True}
 
     def test_rejects_duplicates_and_zero_rows(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,12 @@ class TestPartitionType:
         with pytest.raises(ValueError, match="element 5 outside ground set 1..4"):
             Partition.parse("1,2|3,5", GroundSet(4))
 
+    def test_parse_names_repeated_element(self):
+        with pytest.raises(ValueError, match="element 1 repeated"):
+            Partition.parse("1,1,2|3,4", GroundSet(4))
+        with pytest.raises(ValueError, match="element 2 repeated"):
+            Partition.parse("1,2,2|3,4", GroundSet(4))
+
 
 class TestPartitionVector:
     def test_examples(self):

@@ -21,6 +21,7 @@ from symcone import (
     zhang_yeung_form,
 )
 from symcone.families import random_polymatroid
+from symcone.setfn import elemental_facet_ids, elemental_form, elemental_rows
 
 from conftest import fraction_first_violation, random_rational_function
 
@@ -63,6 +64,19 @@ class TestElementalForms:
         ((fid, form),) = elemental_forms(GroundSet(1))
         assert fid == FacetId(0b1)
         assert form.as_dict() == {0b1: Fraction(1)}
+
+    def test_one_shared_read_only_table(self):
+        table = elemental_rows(GroundSet(4))
+        assert elemental_rows(GroundSet(4)) is table
+        with pytest.raises(TypeError):
+            table[FacetId(0b1)] = (0, 0, 0, 0)
+        ids = elemental_facet_ids(GroundSet(4))
+        ids.clear()
+        assert elemental_facet_ids(GroundSet(4)) == list(table)
+
+    def test_out_of_range_facet_id_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            elemental_form(GroundSet(2), FacetId(0b101))
 
     def test_forms_agree_with_mutual_info(self, rng):
         ground = GroundSet(4)

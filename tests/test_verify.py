@@ -40,6 +40,7 @@ from symcone import (
 import symcone.cone as cone_module
 import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
+from symcone.setfn import elemental_rows
 from symcone.verify import IsolationWitness, run_suite
 
 
@@ -188,12 +189,6 @@ class TestIsolations:
                     v = check_isolation(w)
                     assert v.passed, (str(p), str(label), v.counterexample)
 
-    def test_one_block_context(self):
-        p = canonical_partition((5,))
-        for label in orbit_labels(p):
-            v = check_isolation(build_isolation(p, label, None))
-            assert v.passed
-
     def test_cover_pairs_cover_all_five_shapes(self):
         shapes = set()
         for n in range(2, 6):
@@ -206,8 +201,7 @@ class TestIsolations:
                         w = build_isolation(p, label, ctx)
                         v = check_isolation(w)
                         assert v.passed, (str(p), str(ctx), str(label))
-                        ctx_label = w.context_label
-                        shapes.add((label.kind, ctx_label.kind))
+                        shapes.add((label.kind, collapse_label(label, p, ctx).kind))
         # monotonicity and within-block labels inside and outside the merge,
         # split pairs with two, one, or zero legs in the merged pair
         assert ("A", "A") in shapes
@@ -262,7 +256,8 @@ class TestIsolations:
     def test_suite_repeats_cold_and_warm(self):
         # the cone and label builders keep what they build; a run that
         # finds them filled must give the verdicts of one that fills them
-        for builder in (psi_p_hrep, gamma_n_hrep, symmetry_module._orbit_labels):
+        for builder in (psi_p_hrep, gamma_n_hrep, symmetry_module._orbit_labels,
+                        elemental_rows):
             builder.cache_clear()
         cold, warm = ([(v.claim, v.params, v.passed) for v in run_suite(4)]
                       for _ in range(2))
@@ -273,9 +268,8 @@ class TestIsolations:
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
         target = OrbitLabel((1, 0), (0, 0))
-        good = build_isolation(p, target, ctx)
         # uniform rank is tight on every monotonicity row: target not strict
-        bad = IsolationWitness(p, target, ctx, good.context_label, uniform(2, 4))
+        bad = IsolationWitness(p, target, ctx, uniform(2, 4))
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample["label"] == str(target)
@@ -284,43 +278,36 @@ class TestIsolations:
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
         target = OrbitLabel((1, 0), (0, 0))
-        good = build_isolation(p, target, ctx)
         # a polymatroid that tells element 1 from element 2
-        bad = IsolationWitness(p, target, ctx, good.context_label,
+        bad = IsolationWitness(p, target, ctx,
                                uniform_on_support(1, mask_of([1]), p.ground))
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample == {"symmetry": str(p)}
-
-    def test_context_label_of_another_orbit_fails(self):
-        p = canonical_partition((2, 2))
-        ctx = canonical_partition((4,))
-        target = OrbitLabel((1, 1), (0, 0))
-        good = build_isolation(p, target, ctx)
-        # the monotonicity orbit of the context does not hold the target
-        bad = IsolationWitness(p, target, ctx, OrbitLabel((1,), (0,)), good.function)
-        v = check_isolation(bad)
-        assert not v.passed
-        assert v.counterexample == {"family": ["[1_2(1)|0]", "[1_2(2)|0]"]}
-
-    def test_missing_context_label_fails(self):
-        p = canonical_partition((2, 2))
-        ctx = canonical_partition((4,))
-        good = build_isolation(p, OrbitLabel((1, 0), (0, 0)), ctx)
-        bad = IsolationWitness(p, good.target, ctx, None, good.function)
-        v = check_isolation(bad)
-        assert not v.passed
-        assert v.counterexample == {"family": []}
 
     def test_witness_strict_on_another_family_row_fails(self):
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
         target = OrbitLabel((1, 0), (0, 0))
         # the counting rank is strict on both monotonicity rows
-        w = IsolationWitness(p, target, ctx, OrbitLabel((1,), (0,)), uniform(4, 4))
+        w = IsolationWitness(p, target, ctx, uniform(4, 4))
         v = check_isolation(w)
         assert not v.passed
         assert v.counterexample == {"label": "[1_2(2)|0]", "value": "1"}
+
+    @pytest.mark.parametrize("target, family", [
+        # not an orbit of (2,2); its collapse names a real context orbit
+        (OrbitLabel((2, 0), (1, 0)),
+         ["[1_2(1,2)|0,1]", "[1_2(1,2)|1,0]", "[2_2(1)|0,1]", "[2_2(2)|1,0]"]),
+        # a label of another shape: fails the same way, no IndexError
+        (OrbitLabel((1,), (0,)), ["[1_2(1)|0]", "[1_2(2)|0]"]),
+    ])
+    def test_foreign_target_fails(self, target, family):
+        p = canonical_partition((2, 2))
+        w = IsolationWitness(p, target, canonical_partition((4,)), uniform(2, 4))
+        v = check_isolation(w)
+        assert not v.passed
+        assert v.counterexample == {"family": family}
 
     def test_unknown_label_rejected(self):
         p = canonical_partition((2, 2))
@@ -334,16 +321,10 @@ class TestIsolations:
                 p, orbit_labels(p)[0], canonical_partition((4,))
             )
 
-    def test_virtual_context_needs_one_block(self):
-        p = canonical_partition((2, 2))
-        with pytest.raises(ValueError):
-            build_isolation(p, orbit_labels(p)[0], None)
-
     def test_check_rejects_context_that_does_not_cover(self):
         p = canonical_partition((1, 1, 2))
         good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
-        bad = IsolationWitness(p, good.target, canonical_partition((4,)),
-                               OrbitLabel((1,), (0,)), good.function)
+        bad = IsolationWitness(p, good.target, canonical_partition((4,)), good.function)
         with pytest.raises(ValueError, match="merge exactly two blocks"):
             check_isolation(bad)
 
