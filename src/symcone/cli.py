@@ -54,8 +54,11 @@ def _parse_partition(args, ground=None) -> Partition:
 
 
 def _emit(payload, fmt: str, text_renderer):
+    """Print `payload` as indented json with sorted keys, or hand it to
+    `text_renderer`.  The payload must already be JSON-native: str
+    keys, and rationals as strings (`_jsonify` converts)."""
     if fmt == "json":
-        print(json.dumps(_jsonify(payload), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         text_renderer(payload)
 
@@ -116,13 +119,18 @@ def cmd_project(args) -> int:
 
 
 def cmd_rays(args) -> int:
+    """Each extreme ray with the labels of its tight rows, in row order.
+
+    The tight rows are read from the bitmask `Ray.tight` that the
+    enumeration computed, and each row label is rendered once."""
     p = _parse_partition(args)
     cone = psi_p_hrep(p)
     rays = extreme_rays(cone, max_dim=args.max_dim)
+    names = [str(label) for _, label in cone.rows]
     payload = [
         {
             "direction": list(r.direction),
-            "tight": [str(lab) for lab in cone.tight_labels(r.direction)],
+            "tight": [name for i, name in enumerate(names) if r.tight >> i & 1],
         }
         for r in rays
     ]

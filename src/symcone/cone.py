@@ -17,7 +17,7 @@ yields a separating functional.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm, prod
@@ -61,9 +61,16 @@ def _content_normalize(vec: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class Ray:
-    """Primitive integer direction of a 1-dimensional face."""
+    """Primitive integer direction of a 1-dimensional face.
+
+    `tight`, when set, is the bitmask of the rows of the cone the ray
+    came from on which it is zero: bit i stands for `rows[i]`.
+    `extreme_rays` sets it; `normalize_ray` leaves it None.  Equality
+    and hashing use `direction` only.
+    """
 
     direction: tuple
+    tight: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         d = tuple(int(x) for x in self.direction)
@@ -314,7 +321,9 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     set over the inserted rows as an int bitmask.  A positive/negative
     pair is adjacent iff its common tight set has at least `dim - 2`
     rows and no third ray is tight on all of them (Fukuda & Prodon,
-    1996), so no rank is computed inside the loop.
+    1996), so no rank is computed inside the loop.  Once every row is
+    inserted, that bitmask covers all of `c.rows`, and each returned
+    `Ray` carries it as `tight`.
     """
     d = c.dim
     if d > max_dim:
@@ -381,7 +390,7 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
                  + new_tight)
         processed.append(row)
 
-    return [Ray(r) for r in sorted(rays)]
+    return [Ray(r, t) for r, t in sorted(zip(rays, tight))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .partitions import Partition
 from .setfn import GroundSet, SetFunction, is_polymatroid, mask_of
@@ -230,15 +231,22 @@ def build_family(tag: str) -> SetFunction:
 
 
 def random_polymatroid(ground: GroundSet, rng: random.Random) -> SetFunction:
-    """Random conic combination of uniform-on-support rank functions."""
+    """Random conic combination of uniform-on-support rank functions.
+
+    Each term draws a support, a rank, then a weight w / q.  The
+    weights are scaled to ints over m = lcm(q, ...), so each subset
+    sums ints and builds one `Fraction(total, m)`."""
     terms = []
     for _ in range(rng.randint(1, 4)):
         support = rng.randint(1, ground.full_mask)
         rank = rng.randint(1, support.bit_count())
-        terms.append((Fraction(rng.randint(0, 6), rng.randint(1, 4)), rank, support))
-    return SetFunction.from_callable(
-        ground, lambda a: sum(w * min(r, (a & s).bit_count()) for w, r, s in terms)
-    )
+        terms.append((rng.randint(0, 6), rng.randint(1, 4), rank, support))
+    m = lcm(*(q for _, q, _, _ in terms))
+    scaled = [(w * (m // q), r, s) for w, q, r, s in terms]
+    return SetFunction(ground, tuple(
+        Fraction(sum(w * min(r, (a & s).bit_count()) for w, r, s in scaled), m)
+        for a in ground.subsets()
+    ))
 
 
 def random_symmetric_function(p: Partition, rng: random.Random) -> SetFunction:

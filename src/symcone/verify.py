@@ -14,6 +14,7 @@ from typing import Optional
 
 from .cone import (
     DecomposeResult,
+    _eliminate,
     conic_decompose,
     extreme_rays,
     facet_reduction_check,
@@ -113,9 +114,29 @@ def _free_svector(h: SetFunction, p: Partition) -> tuple:
     return to_sym(h, p).free_values()
 
 
+def _uncertified_ray(cone, rays):
+    """The first ray that fails its certificate, else None.
+
+    A ray is certified when every row is >= 0 on it, its zero rows are
+    exactly its `tight` bitmask, and those rows have rank dim - 1."""
+    rows = [coeffs for coeffs, _ in cone.rows]
+    for r in rays:
+        values = cone.row_values(r.direction)
+        zero = [i for i, v in enumerate(values) if v == 0]
+        if (any(v < 0 for v in values)
+                or sum(1 << i for i in zero) != r.tight
+                or len(_eliminate([rows[i] for i in zero], cone.dim)) != cone.dim - 1):
+            return r
+    return None
+
+
 def _ray_set_comparison(cone, expected_functions, p):
-    """Compare enumerated rays against normalized reduced vectors."""
+    """Certify each enumerated ray, then compare the rays against
+    normalized reduced vectors."""
     rays = extreme_rays(cone)
+    bad = _uncertified_ray(cone, rays)
+    if bad is not None:
+        return False, {"uncertified_ray": list(bad.direction)}
     got = {r.direction for r in rays}
     want = {
         normalize_ray(_free_svector(h, p)).direction for h in expected_functions

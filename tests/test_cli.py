@@ -9,6 +9,7 @@ from symcone import gap_witness, u1_loop, uniform
 from symcone.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 @pytest.fixture
@@ -47,6 +48,25 @@ class TestRays:
         assert {tuple(r["direction"]) for r in payload} == {
             (1, 1, 1), (1, 2, 2), (1, 2, 3),
         }
+
+    def test_benchmark_shapes_bytes_pinned(self, capsys):
+        # the sha256 and ray count of `rays --format json` on the twelve
+        # benchmark shapes, as recorded in the benchmark's expected answers
+        expected = json.loads(EXPECTED.read_text(encoding="utf-8"))["rays"]
+        assert len(expected) == 12
+        for key, want in expected.items():
+            parts = [int(x) for x in key.split("_")]
+            bounds = [sum(parts[:i]) for i in range(len(parts) + 1)]
+            literal = "|".join(
+                ",".join(str(e) for e in range(lo + 1, hi + 1))
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+            argv = ["rays", "--n", str(bounds[-1]), "--partition", literal,
+                    "--format", "json"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert len(json.loads(out)) == want["rays"], key
+            assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], key
 
     def test_max_dim_cap(self, capsys):
         args = ["rays", "--n", "5", "--partition", "1,2|3,4,5", "--max-dim", "5"]

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -225,6 +225,7 @@ class TestExtremeRays:
 
     def test_ray_normalization(self):
         assert normalize_ray((Fraction(1, 2), Fraction(3, 2))).direction == (1, 3)
+        assert normalize_ray((Fraction(1, 2), Fraction(3, 2))).tight is None
         assert normalize_ray((-2, -4)).direction == (1, 2)
         with pytest.raises(ValueError):
             Ray((2, 4))
@@ -250,14 +251,23 @@ def random_pointed_rows(dim, rng):
             return rows
 
 
+def zero_rows(cone, direction) -> int:
+    """Bitmask of the rows of `cone` that vanish at `direction`, in Fractions."""
+    rows = [coeffs for coeffs, _ in cone.rows]
+    values = fraction_row_values(rows, direction)
+    return sum(1 << i for i, v in enumerate(values) if v == 0)
+
+
 class TestRayOracle:
     def test_random_pointed_cones(self, rng):
         for dim in range(2, 7):
             for _ in range(20):
                 rows = random_pointed_rows(dim, rng)
                 cone = HCone(dim, tuple((row, i) for i, row in enumerate(rows)))
-                got = {r.direction for r in extreme_rays(cone)}
-                assert got == brute_force_rays(rows, dim)
+                rays = extreme_rays(cone)
+                assert {r.direction for r in rays} == brute_force_rays(rows, dim)
+                for r in rays:
+                    assert r.tight == zero_rows(cone, r.direction)
 
     def test_reduced_cones_up_to_four_elements(self):
         for n in (2, 3, 4):
@@ -272,6 +282,25 @@ class TestRayOracle:
                     assert all(is_certified_ray(rows, ray) for ray in got)
                 else:
                     assert got == brute_force_rays(rows, cone.dim)
+
+
+class TestRayTight:
+    def test_reduced_cones_up_to_dim_15(self):
+        shapes = 0
+        for n in range(1, 10):
+            for p in canonical_representatives(n):
+                if prod(s + 1 for s in p.block_sizes) - 1 > 15:
+                    continue
+                cone = psi_p_hrep(p)
+                shapes += 1
+                for r in extreme_rays(cone):
+                    assert r.tight == zero_rows(cone, r.direction), (str(p), r)
+        assert shapes == 24
+
+    def test_equality_and_hash_ignore_tight(self):
+        assert Ray((1, 2)) == Ray((1, 2), 0b101)
+        assert hash(Ray((1, 2))) == hash(Ray((1, 2), 0b101))
+        assert len({Ray((1, 2), 1), Ray((1, 2), 2)}) == 1
 
 
 class TestFrontierShapes:

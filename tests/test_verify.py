@@ -9,6 +9,7 @@ from symcone import (
     HCone,
     OrbitLabel,
     Partition,
+    Ray,
     SetFunction,
     build_isolation,
     canonical_partition,
@@ -77,6 +78,34 @@ class TestRayInventories:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             verify_psi_n(1)
+
+    def test_wrong_tight_set_fails(self, monkeypatch):
+        real = verify_module.extreme_rays
+
+        def corrupt(cone):
+            first, *rest = real(cone)
+            return [Ray(first.direction, first.tight ^ 1)] + rest
+
+        monkeypatch.setattr(verify_module, "extreme_rays", corrupt)
+        first = real(psi_p_hrep(canonical_partition((4,))))[0]
+        v = verify_psi_n(4)
+        assert not v.passed
+        assert v.counterexample == {"uncertified_ray": list(first.direction)}
+
+    def test_ray_that_is_not_extreme_fails(self, monkeypatch):
+        # the sum of two rays, with its true zero rows: only the rank
+        # of its tight rows can show that it is not extreme
+        real = verify_module.extreme_rays
+        cone = psi_p_hrep(canonical_partition((1, 3)))
+        a, b, *rest = real(cone)
+        direction = normalize_ray([x + y for x, y in zip(a.direction, b.direction)]).direction
+        values = cone.row_values(direction)
+        fake = Ray(direction, sum(1 << i for i, v in enumerate(values) if v == 0))
+        assert min(values) >= 0
+        monkeypatch.setattr(verify_module, "extreme_rays", lambda c: [fake, b] + rest)
+        v = verify_psi_1n1(4)
+        assert not v.passed
+        assert v.counterexample == {"uncertified_ray": list(direction)}
 
 
 class TestFacetBijection:
