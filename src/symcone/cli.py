@@ -181,7 +181,10 @@ def cmd_check(args) -> int:
         results["member"] = {"pass": ok, "partition": str(p)}
         failed = failed or not ok
     if "zy" in wanted:
-        roles = tuple(int(x) for x in args.roles.split(","))
+        try:
+            roles = tuple(int(x) for x in args.roles.split(","))
+        except ValueError:
+            raise ValueError(f"--roles takes integers, got {args.roles!r}") from None
         value = zhang_yeung_form(h.ground, roles).evaluate(h)
         results["zy"] = {"pass": value >= 0, "value": str(value), "roles": list(roles)}
         failed = failed or value < 0

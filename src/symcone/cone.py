@@ -30,7 +30,6 @@ from .setfn import (
     UnsupportedSizeError,
     _clear_denominators,
     elemental_facet_ids,
-    elemental_form,
     elemental_rows,
     is_polymatroid,
 )
@@ -242,13 +241,17 @@ def gamma_n_hrep(ground: GroundSet) -> HCone:
 
 
 def reduced_facet_row(fid, p: Partition) -> tuple:
-    """Elemental form of a facet summed per count tuple, origin dropped:
-    the per-facet reference for the closed-form rows of `psi_p_hrep`."""
+    """The `elemental_rows` entry of a facet summed per count tuple,
+    origin dropped: the per-facet reference for the closed-form rows of
+    `psi_p_hrep`.  ValueError if `fid` names no row."""
+    terms = elemental_rows(p.ground).get(fid)
+    if terms is None:
+        raise ValueError("facet id out of range for ground set")
     position, _ = p.count_index
     coeffs = [0] * (len(p.count_tuples) - 1)
-    for mask, c in elemental_form(p.ground, fid).coeffs:
+    for mask, sign in zip(terms, (1, 1, -1, -1)):
         if position[mask]:
-            coeffs[position[mask] - 1] += int(c)
+            coeffs[position[mask] - 1] += sign
     return tuple(coeffs)
 
 

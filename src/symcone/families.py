@@ -124,8 +124,7 @@ def u1_loop(n: int) -> SetFunction:
     """Indicator rank |A intersect {1}|: one free element, loops elsewhere."""
     if n < 1:
         raise ValueError("n must be positive")
-    ground = GroundSet(n)
-    return SetFunction.from_callable(ground, lambda a: Fraction(a & 1))
+    return uniform_on_support(1, 1, GroundSet(n))
 
 
 def phi_map(m: int, n: int) -> ExpansionMap:

@@ -82,12 +82,18 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str, ground: GroundSet) -> "Partition":
-        """Parse the `1,2|3,4` block syntax; an element outside the
-        ground set, or repeated within a block, is named in the
-        ValueError."""
+        """Parse the `1,2|3,4` block syntax; an element that is not an
+        integer, lies outside the ground set, or is repeated within a
+        block is named in the ValueError."""
         blocks = []
         for chunk in text.split("|"):
-            els = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
+            els = []
+            for tok in filter(str.strip, chunk.split(",")):
+                try:
+                    els.append(int(tok))
+                except ValueError:
+                    raise ValueError(f"element {tok.strip()!r} is not an integer "
+                                     f"in partition literal {text!r}") from None
             if not els:
                 raise ValueError(f"empty block in partition literal {text!r}")
             repeated = next((e for e in els if els.count(e) > 1), None)

@@ -132,21 +132,23 @@ def _uncertified_ray(cone, rays):
 
 def _ray_set_comparison(cone, expected_functions, p):
     """Certify each enumerated ray, then compare the rays against
-    normalized reduced vectors."""
+    normalized reduced vectors.  Returns `(counterexample, tights)`: on
+    success None and the certified `tight` mask of each expected
+    function's ray, in input order."""
     rays = extreme_rays(cone)
     bad = _uncertified_ray(cone, rays)
     if bad is not None:
-        return False, {"uncertified_ray": list(bad.direction)}
-    got = {r.direction for r in rays}
-    want = {
+        return {"uncertified_ray": list(bad.direction)}, None
+    got = {r.direction: r.tight for r in rays}
+    want = [
         normalize_ray(_free_svector(h, p)).direction for h in expected_functions
-    }
-    if got == want:
-        return True, None
-    return False, {
-        "extra": sorted(got - want),
-        "missing": sorted(want - got),
-    }
+    ]
+    if got.keys() == set(want):
+        return None, [got[w] for w in want]
+    return {
+        "extra": sorted(got.keys() - set(want)),
+        "missing": sorted(set(want) - got.keys()),
+    }, None
 
 
 def verify_psi_n(n: int) -> Verdict:
@@ -159,19 +161,16 @@ def verify_psi_n(n: int) -> Verdict:
     cone = psi_p_hrep(p)
 
     def run():
-        ok, bad = _ray_set_comparison(cone, [uniform(m, n) for m in range(1, n + 1)], p)
-        if not ok:
+        bad, tights = _ray_set_comparison(cone, [uniform(m, n) for m in range(1, n + 1)], p)
+        if bad is not None:
             return False, bad
         labels = [label for _, label in cone.rows]
-        for m in range(1, n + 1):
-            vec = _free_svector(uniform(m, n), p)
-            tight = set(map(str, cone.tight_labels(vec)))
-            skipped = (
-                OrbitLabel((1,), (0,)) if m == n else OrbitLabel((2,), (m - 1,))
-            )
-            expected = {str(lab) for lab in labels if lab != skipped}
-            if tight != expected:
-                return False, {"rank": m, "tight": sorted(tight)}
+        every_row = (1 << len(labels)) - 1
+        for m, tight in enumerate(tights, 1):
+            skipped = OrbitLabel((1,), (0,)) if m == n else OrbitLabel((2,), (m - 1,))
+            if tight != every_row ^ (1 << labels.index(skipped)):
+                return False, {"rank": m, "tight": sorted(
+                    str(lab) for i, lab in enumerate(labels) if tight >> i & 1)}
         return True, None
 
     return _timed("psi-rays", {"n": n}, run)
@@ -188,7 +187,8 @@ def verify_psi_1n1(n: int) -> Verdict:
         family = family_Un(n)
         if len(family) != 1 + (n - 1) + n * (n - 1) // 2:
             return False, {"family_size": len(family)}
-        return _ray_set_comparison(cone, family, p)
+        bad, _ = _ray_set_comparison(cone, family, p)
+        return bad is None, bad
 
     return _timed("two-block-rays", {"n": n}, run)
 
@@ -347,43 +347,31 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     inside its context family.
 
     `target` must label a facet orbit of p, and `context` must merge
-    exactly two blocks of p; else ValueError.  The witness is a counting
-    rank, a truncated counting rank, a uniform rank supported on two or
-    three blocks, or the piecewise split-pair function, depending on
-    where the target label touches the merged pair.
+    exactly two blocks u, v of p; else ValueError.  An A label gets the
+    free matroid on its block, and a B label with both legs in {u, v}
+    the piecewise split-pair function.  Every other label gets the
+    uniform matroid on a support of blocks, loops elsewhere: the blocks
+    the label touches, plus u when none of them is u or v, with rank
+    1 + the sum of lambda_K over the support.
     """
     if target not in set(orbit_labels(p)):
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
     posmap = _merge_map(p, context)
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
-    touched = [i - 1 for i in target.blocks_touched()]
+    touched = {i - 1 for i in target.blocks_touched()}
     k = target.lambda_K
     b = p.blocks
 
     if target.kind == "A":
         (l,) = touched
         fn = uniform_on_support(b[l].bit_count(), b[l], p.ground)
-    elif all(i in (u, v) for i in touched):
-        if target.kind == "C":
-            (l,) = touched
-            fn = uniform_on_support(k[l] + 1, b[l], p.ground)
-        else:
-            fn = _mixed_pair_witness(p, u, v, k[u], k[v])
-    elif target.kind == "C":
-        (l,) = touched
-        fn = uniform_on_support(k[u] + k[l] + 1, b[u] | b[l], p.ground)
-    else:  # B label with at most one leg in the merged pair
-        legs_in = [i for i in touched if i in (u, v)]
-        if legs_in:
-            x = legs_in[0]
-            l = next(i for i in touched if i != x)
-            fn = uniform_on_support(k[x] + k[l] + 1, b[x] | b[l], p.ground)
-        else:
-            l1, l2 = touched
-            fn = uniform_on_support(
-                k[u] + k[l1] + k[l2] + 1, b[u] | b[l1] | b[l2], p.ground
-            )
+    elif touched == {u, v}:
+        fn = _mixed_pair_witness(p, u, v, k[u], k[v])
+    else:
+        support = touched if touched & {u, v} else touched | {u}
+        rank = 1 + sum(k[i] for i in support)
+        fn = uniform_on_support(rank, sum(b[i] for i in support), p.ground)
     return IsolationWitness(p, target, context, fn)
 
 

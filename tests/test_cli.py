@@ -73,6 +73,14 @@ class TestRays:
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_non_integer_element_is_usage_error(self, capsys):
+        assert main(["rays", "--n", "4", "--partition", "1,a|2,3,4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: element 'a' is not an integer in partition literal '1,a|2,3,4'"
+        ]
+
 
 class TestCheck:
     def test_zy_violation_exits_one(self, capsys, witness_file):
@@ -124,6 +132,12 @@ class TestCheck:
         assert captured.err.splitlines() == [
             "error: element 1 repeated in partition literal '1,1,2|3,4'"
         ]
+
+    def test_non_integer_role_is_usage_error(self, capsys, witness_file):
+        assert main(["check", "--zy", "--roles", "1,2,x", "--function", witness_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --roles takes integers, got '1,2,x'"]
 
     def test_json_round_trip(self, capsys, witness_file):
         main(["check", "--zy", "--function", witness_file, "--format", "json"])

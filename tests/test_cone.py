@@ -1,8 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ from symcone import (
     uniform,
 )
 from symcone.families import random_polymatroid, random_symmetric_function
-from symcone.setfn import elemental_facet_ids
+from symcone.setfn import FacetId, elemental_facet_ids
 from symcone.symmetry import facet_orbit_label
 
 from conftest import (
@@ -122,6 +124,21 @@ class TestHRepConstruction:
         for fid in elemental_facet_ids(p.ground):
             label = facet_orbit_label(fid, p)
             assert reduced_facet_row(fid, p) == by_label[label]
+
+    def test_reduced_facet_row_sums_definition(self):
+        # each dense elemental row summed per count tuple, origin dropped
+        for n in range(1, 6):
+            for p in canonical_representatives(n):
+                for coeffs, (i, k) in dense_elemental_rows(n):
+                    want = [0] * (len(p.count_tuples) - 1)
+                    for mask, c in enumerate(coeffs, 1):
+                        counts = tuple((mask & b).bit_count() for b in p.blocks)
+                        want[p.count_tuples.index(counts) - 1] += c
+                    assert reduced_facet_row(FacetId(i, k), p) == tuple(want)
+
+    def test_reduced_facet_row_rejects_unknown_id(self):
+        with pytest.raises(ValueError, match="out of range"):
+            reduced_facet_row(FacetId(0b101), canonical_partition((2,)))
 
 
     def test_equal_partitions_share_one_reduced_cone(self):
@@ -425,6 +442,17 @@ class TestConicDecompose:
         assert out[:2] == ["False", "2 1"]
         w = [Fraction(x) for x in out[2].split()]
         assert w[0] >= 0 and w[0] + w[1] >= 0 and w[1] < 0
+
+    def test_package_has_no_assert_statements(self):
+        # the checks must hold under -O, which strips every assert
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""

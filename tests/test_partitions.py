@@ -49,6 +49,11 @@ class TestPartitionType:
         with pytest.raises(ValueError, match="element 5 outside ground set 1..4"):
             Partition.parse("1,2|3,5", GroundSet(4))
 
+    def test_parse_names_non_integer_element(self):
+        with pytest.raises(ValueError, match="element 'a' is not an integer in "
+                           r"partition literal '1,a\|2,3,4'"):
+            Partition.parse("1,a|2,3,4", GroundSet(4))
+
     def test_parse_names_repeated_element(self):
         with pytest.raises(ValueError, match="element 1 repeated"):
             Partition.parse("1,1,2|3,4", GroundSet(4))

@@ -92,6 +92,19 @@ class TestRayInventories:
         assert not v.passed
         assert v.counterexample == {"uncertified_ray": list(first.direction)}
 
+    def test_rank_paired_with_wrong_ray_fails(self, monkeypatch):
+        # U_{n+1-m,n} in place of U_{m,n}: the same ray set, but rank 1
+        # is paired with the free matroid, which skips the A row
+        real = verify_module.uniform
+        monkeypatch.setattr(verify_module, "uniform", lambda m, n: real(n + 1 - m, n))
+        labels = [str(label) for _, label in psi_p_hrep(canonical_partition((4,))).rows]
+        v = verify_psi_n(4)
+        assert not v.passed
+        assert v.counterexample == {
+            "rank": 1,
+            "tight": sorted(lab for lab in labels if lab != str(OrbitLabel((1,), (0,)))),
+        }
+
     def test_ray_that_is_not_extreme_fails(self, monkeypatch):
         # the sum of two rays, with its true zero rows: only the rank
         # of its tight rows can show that it is not extreme
