@@ -81,16 +81,12 @@ from .families import (
     uniform_on_support,
 )
 from .verify import (
-    DecompStep,
-    DecompositionError,
     IsolationWitness,
     Verdict,
     build_isolation,
     check_isolation,
     collapse_label,
     decompose_1n,
-    generator_class_triple,
-    inductive_lift_steps,
     run_suite,
     two_block_coarsening,
     verify_facet_bijection,

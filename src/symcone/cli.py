@@ -202,7 +202,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     h = _read_function(args.function, n=args.n)
-    res = decompose_1n(h, h.n, strategy=args.strategy)
+    res = decompose_1n(h, h.n)
     if res.feasible:
         payload = {
             "feasible": True,
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose",
                         help="conic coefficients over the generator family")
     common(sp, partition=False, function=True)
-    sp.add_argument("--strategy", choices=("lp", "inductive"), default="lp")
     sp.set_defaults(fn=cmd_decompose)
 
     # no abbreviations: `--n` would otherwise be read as `--n-max`

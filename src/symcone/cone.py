@@ -50,9 +50,7 @@ class NotPointedError(ValueError):
 
 
 def _content_normalize(vec: Sequence[int]) -> tuple:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no direction")
     return tuple(x // g for x in vec)
@@ -74,10 +72,7 @@ class Ray:
     def __post_init__(self) -> None:
         d = tuple(int(x) for x in self.direction)
         object.__setattr__(self, "direction", d)
-        g = 0
-        for x in d:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*d) != 1:
             raise ValueError("ray direction must be a primitive integer vector")
 
 

@@ -23,7 +23,6 @@ from .cone import (
 )
 from .families import (
     family_Un,
-    family_Un_tags,
     gap_witness_blocks,
     uniform,
     uniform_on_support,
@@ -45,34 +44,10 @@ from .setfn import (
 from .symmetry import (
     OrbitLabel,
     SymmetryError,
-    SymVector,
     orbit_count_formula,
     orbit_labels,
     to_sym,
 )
-
-
-class DecompositionError(ArithmeticError):
-    """The stepwise decomposition produced an inconsistent coefficient."""
-
-
-@dataclass(frozen=True)
-class DecompStep:
-    """One ground-set growth step of the stepwise decomposition.
-
-    `bounds` is the triple (s_{1,g} - s_{1,g-1} headroom, loop-part
-    headroom, boundary headroom) limiting the two new-coordinate
-    excesses `e1` and `e2`; `transferred` is the weight moved onto the
-    rank-raised generators; `coefficients` is the generator-weight map
-    after the step.
-    """
-
-    size: int
-    e1: Fraction
-    e2: Fraction
-    bounds: tuple
-    transferred: Fraction
-    coefficients: dict
 
 
 @dataclass
@@ -432,139 +407,15 @@ def _family_vectors(n: int) -> tuple:
     return tuple(_free_svector(h, p) for h in family_Un(n))
 
 
-def decompose_1n(h: SetFunction, n: int, strategy: str = "lp") -> DecomposeResult:
-    """Nonnegative coefficients over the generator family reconstructing h.
-
-    `strategy="lp"` solves the exact conic program directly.
-    `strategy="inductive"` rebuilds the coefficients dimension by
-    dimension through the two new coordinates added at each ground-set
-    growth step; it requires a point inside the cone and falls back to
-    the LP to produce the certificate otherwise.  Both strategies
-    verify their reconstruction exactly.
-    """
-    if h.n != n or n < 2:
-        raise ValueError("function size does not match n (need n >= 2)")
+def decompose_1n(h: SetFunction, n: int) -> DecomposeResult:
+    """Nonnegative coefficients over the generator family reconstructing h,
+    or a separating certificate; `conic_decompose` checks either exactly."""
+    if h.n != n:
+        raise ValueError(f"function has {h.n} elements, expected n = {n}")
+    if n < 2:
+        raise ValueError(f"decomposition needs at least 2 elements, got {n}")
     p = canonical_partition((1, n - 1))
-    svec = to_sym(h, p)
-    target = svec.free_values()
-    vectors = _family_vectors(n)
-    if strategy == "lp":
-        return conic_decompose(target, vectors)
-    if strategy != "inductive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if not psi_p_hrep(p).contains(target):
-        return conic_decompose(target, vectors)
-    coeffs, _ = _inductive_coefficients(svec, n)
-    ordered = []
-    for tag in family_Un_tags(n):
-        if tag.startswith("u1loop"):
-            ordered.append(coeffs.get("u1loop", Fraction(0)))
-        else:
-            knum, mnum, _ = (int(x) for x in tag.split(":")[1].split(","))
-            ordered.append(coeffs.get((knum, mnum), Fraction(0)))
-    recon = [
-        sum(ordered[j] * vectors[j][i] for j in range(len(vectors)))
-        for i in range(len(target))
-    ]
-    if recon != list(target) or any(c < 0 for c in ordered):
-        raise DecompositionError("stepwise coefficients fail to reconstruct")
-    return DecomposeResult(True, coefficients=tuple(ordered))
-
-
-def generator_class_triple(u: SetFunction, n: int) -> tuple:
-    """Headroom triple classifying a generator for the stepwise lift.
-
-    The entries are u_{1,n-1} - u_{1,n-2}, u_{1,n-1} - u_{0,n-1} and
-    u_{0,n-1} - u_{0,n-2}; over the generator family they take only the
-    four values (0,1,0), (1,0,1), (0,0,1) and (0,0,0).
-    """
-    p = canonical_partition((1, n - 1))
-    s = to_sym(u, p)
-    return (
-        s[(1, n - 1)] - s[(1, n - 2)],
-        s[(1, n - 1)] - s[(0, n - 1)],
-        s[(0, n - 1)] - s[(0, n - 2)],
-    )
-
-
-def _inductive_coefficients(svec: SymVector, n: int) -> tuple:
-    """Lift a base decomposition through each added pair of coordinates.
-
-    At ground size g+1 the two new coordinates exceed the old boundary
-    ones by e1 and e1+e2; the published redistribution keeps every
-    coefficient nonnegative exactly when the transferred amount is
-    max(0, e1+e2-b), which is what is used here (a stated lower bound
-    of e1+e2 would contradict nonnegativity whenever e1 > 0; the
-    reconstruction identity holds for any transferred amount).
-
-    Returns the final generator-weight map and one DecompStep per lift.
-    """
-
-    def s(j1: int, j2: int) -> Fraction:
-        return svec[(j1, j2)]
-
-    base = conic_decompose(
-        (s(0, 1), s(1, 0), s(1, 1)),
-        [(Fraction(0), Fraction(1), Fraction(1)),
-         (Fraction(1), Fraction(0), Fraction(1)),
-         (Fraction(1), Fraction(1), Fraction(1))],
-    )
-    if not base.feasible:
-        raise DecompositionError("base point left the cone")
-    coeffs = {
-        "u1loop": base.coefficients[0],
-        (1, 1): base.coefficients[1],
-        (1, 2): base.coefficients[2],
-    }
-    steps = []
-    for g in range(2, n):
-        e1 = s(1, g) - s(1, g - 1)
-        e2 = s(0, g) - s(0, g - 1) - e1
-        bounds = (
-            s(1, g - 1) - s(1, g - 2),
-            s(1, g - 1) - s(0, g - 1),
-            s(0, g - 1) - s(0, g - 2),
-        )
-        if not (0 <= e1 <= bounds[0] and 0 <= e2 <= min(bounds[1], bounds[2] - e1)):
-            raise DecompositionError("new-coordinate excess out of range")
-        a = coeffs.get("u1loop", Fraction(0))
-        b = coeffs.get((g - 1, g - 1), Fraction(0))
-        c_terms = {m: coeffs.get((g - 1, m), Fraction(0)) for m in range(g, 2 * g - 1)}
-        d_terms = {
-            key: val
-            for key, val in coeffs.items()
-            if isinstance(key, tuple) and key[0] <= g - 2
-        }
-        transfer = max(Fraction(0), e1 + e2 - b)
-        c_prime = {}
-        left = transfer
-        for m in sorted(c_terms):
-            take = min(c_terms[m], e2, left)
-            c_prime[m] = take
-            left -= take
-        if left != 0:
-            raise DecompositionError("cannot place the transferred weight")
-        new = {"u1loop": a - e2}
-        new[(g - 1, g)] = b - e1 - e2 + transfer
-        new[(g, g)] = e1
-        new[(g, g + 1)] = e2 - transfer
-        for m, val in c_terms.items():
-            new[(g - 1, m + 1)] = new.get((g - 1, m + 1), Fraction(0)) + val - c_prime[m]
-            new[(g, m + 2)] = new.get((g, m + 2), Fraction(0)) + c_prime[m]
-        for (kk, mm), val in d_terms.items():
-            new[(kk, mm + 1)] = new.get((kk, mm + 1), Fraction(0)) + val
-        if any(val < 0 for val in new.values()):
-            raise DecompositionError("negative coefficient in the lifted step")
-        coeffs = new
-        steps.append(DecompStep(g + 1, e1, e2, bounds, transfer, dict(coeffs)))
-    return coeffs, steps
-
-
-def inductive_lift_steps(h: SetFunction, n: int) -> list:
-    """Per-step records of the stepwise decomposition of an in-cone point."""
-    p = canonical_partition((1, n - 1))
-    _, steps = _inductive_coefficients(to_sym(h, p), n)
-    return steps
+    return conic_decompose(_free_svector(h, p), _family_vectors(n))
 
 
 # ---------------------------------------------------------------------------

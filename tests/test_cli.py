@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from symcone import gap_witness, u1_loop, uniform
+from symcone import GroundSet, SetFunction, family_Un, gap_witness, u1_loop, uniform
 from symcone.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -158,6 +160,41 @@ class TestDecompose:
         assert main(["decompose", "--function", str(path)]) == 1
         assert "infeasible" in capsys.readouterr().out
 
+    def test_one_element_function_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("0 0\n1 1\n")
+        assert main(["decompose", "--function", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: decomposition needs at least 2 elements, got 1"
+        ]
+
+    def test_output_bytes_pinned(self, capsys, tmp_path):
+        # text and json stdout with exit codes on generators, an outside
+        # point (the separating certificate) and seeded fractional conic
+        # points for n = 2..5
+        corpus = [uniform(2, 4), u1_loop(4), -1 * u1_loop(4)]
+        for n in (2, 3, 4, 5):
+            rng = random.Random(n)
+            point = SetFunction(GroundSet(n), (0,) * (1 << n))
+            for g in family_Un(n):
+                point = point + Fraction(rng.randint(0, 5), rng.randint(1, 3)) * g
+            corpus.append(point)
+        codes = []
+        transcript = hashlib.sha256()
+        for i, h in enumerate(corpus):
+            path = tmp_path / f"h{i}.txt"
+            path.write_text(h.to_text())
+            for fmt in ("text", "json"):
+                codes.append(main(["decompose", "--function", str(path),
+                                   "--format", fmt]))
+                transcript.update(capsys.readouterr().out.encode())
+        assert codes == [0, 0, 0, 0, 1, 1] + [0] * 8
+        assert transcript.hexdigest() == (
+            "35302d6e5076d3bf3854a466de0fac50c336aed4ca90309759a352c3528e4e88"
+        )
+
 
 class TestProjectAndFamily:
     def test_project_symmetrizes(self, capsys, tmp_path):
@@ -254,6 +291,12 @@ class TestParserSurface:
     def test_seed_only_on_verify(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("strategy", ["lp", "inductive"])
+    def test_decompose_has_one_method(self, strategy):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--function", "h.txt", "--strategy", strategy])
         assert exc.value.code == 2
 
     def test_verify_takes_seed(self, capsys):

@@ -454,6 +454,26 @@ class TestConicDecompose:
         ]
         assert found == []
 
+    def test_package_has_no_unused_imports(self):
+        # module-level imports only; `__init__.py` exists to re-export
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            bound = {
+                (alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            found += [f"{path.name}:{line} {name}"
+                      for name, line in bound.items() if name not in used]
+        assert found == []
+
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""
         outcomes = []

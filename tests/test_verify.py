@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from symcone import (
-    DecompositionError,
     GroundSet,
     HCone,
     OrbitLabel,
@@ -30,7 +29,6 @@ from symcone import (
     to_sym,
     two_block_coarsening,
     u1_loop,
-    u_km,
     uniform,
     uniform_on_support,
     verify_facet_bijection,
@@ -439,18 +437,14 @@ class TestDecompose1n:
                     Fraction(rng.randint(0, 5), rng.randint(1, 3))
                     for _ in family_Un_tags(n)
                 ]
-                h = conic_point(n, weights)
-                for strategy in ("lp", "inductive"):
-                    res = decompose_1n(h, n, strategy=strategy)
-                    assert res.feasible
-                    assert all(c >= 0 for c in res.coefficients)
+                res = decompose_1n(conic_point(n, weights), n)
+                assert res.feasible
+                assert all(c >= 0 for c in res.coefficients)
 
     def test_out_of_cone_gets_certificate(self):
-        h = -1 * u1_loop(4)
-        for strategy in ("lp", "inductive"):
-            res = decompose_1n(h, 4, strategy=strategy)
-            assert not res.feasible
-            assert res.certificate is not None
+        res = decompose_1n(-1 * u1_loop(4), 4)
+        assert not res.feasible
+        assert res.certificate is not None
 
     def test_asymmetric_input_rejected(self):
         h = gap_witness(2, 2)  # symmetric under (2,2) but not (1,3)
@@ -459,38 +453,6 @@ class TestDecompose1n:
         with pytest.raises(SymmetryError):
             decompose_1n(h, 4)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            decompose_1n(uniform(1, 3), 3, strategy="magic")
-
-
-class TestLiftSteps:
-    def test_generator_class_table(self):
-        from symcone import generator_class_triple, u1_loop
-
-        for n in (3, 4, 5):
-            assert generator_class_triple(u1_loop(n), n) == (0, 1, 0)
-            assert generator_class_triple(u_km(n - 1, n - 1, n), n) == (1, 0, 1)
-            # includes the boundary m = 2n - 2
-            for m in range(n, 2 * n - 1):
-                assert generator_class_triple(u_km(n - 1, m, n), n) == (0, 0, 1)
-            for m in range(n - 1, 2 * n - 1):
-                for k in range(max(1, m - n + 1), n - 1):
-                    if (k, m) == (n - 1, n - 1):
-                        continue
-                    assert generator_class_triple(u_km(k, m, n), n) == (0, 0, 0)
-
-    def test_step_records_respect_bounds(self, rng):
-        from symcone import inductive_lift_steps
-
-        n = 5
-        for _ in range(5):
-            weights = [Fraction(rng.randint(0, 4)) for _ in family_Un_tags(n)]
-            h = conic_point(n, weights)
-            steps = inductive_lift_steps(h, n)
-            assert [st.size for st in steps] == [3, 4, 5]
-            for st in steps:
-                assert 0 <= st.e1 <= st.bounds[0]
-                assert 0 <= st.e2 <= min(st.bounds[1], st.bounds[2] - st.e1)
-                assert 0 <= st.transferred <= st.e2
-                assert all(c >= 0 for c in st.coefficients.values())
+    def test_size_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="^function has 3 elements, expected n = 4$"):
+            decompose_1n(uniform(1, 3), 4)
