@@ -16,14 +16,13 @@ from .setfn import (
     SetFunction,
     UnsupportedSizeError,
     elemental_count,
-    elemental_forms,
+    elemental_rows,
     is_matroid,
     is_polymatroid,
     mask_of,
     elements_of,
     mutual_info,
     polymatroid_violation,
-    restrict,
     zhang_yeung_form,
 )
 from .partitions import (
@@ -75,6 +74,7 @@ from .families import (
     gap_witness,
     gap_witness_blocks,
     phi_map,
+    restrict,
     u1_loop,
     u_km,
     uniform,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cone import DEFAULT_MAX_DIM, extreme_rays, psi_p_hrep
 from .families import build_family, family_Un_tags
@@ -21,20 +20,11 @@ from .setfn import (
     SetFunction,
     is_matroid,
     polymatroid_violation,
+    set_text,
     zhang_yeung_form,
 )
-from .symmetry import orbit_labels, orbit_sizes, symmetrize, to_sym
+from .symmetry import SymmetryError, orbit_labels, orbit_sizes, symmetrize, to_sym
 from .verify import decompose_1n, run_suite
-
-
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
 
 
 def _read_function(path: str, n=None) -> SetFunction:
@@ -56,7 +46,7 @@ def _parse_partition(args, ground=None) -> Partition:
 def _emit(payload, fmt: str, text_renderer):
     """Print `payload` as indented json with sorted keys, or hand it to
     `text_renderer`.  The payload must already be JSON-native: str
-    keys, and rationals as strings (`_jsonify` converts)."""
+    keys, and rationals as strings."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -176,9 +166,13 @@ def cmd_check(args) -> int:
         failed = failed or not ok
     if "member" in wanted:
         p = _parse_partition(args, h.ground)
-        vec = to_sym(h, p).free_values()
-        ok = psi_p_hrep(p).contains(vec)
-        results["member"] = {"pass": ok, "partition": str(p)}
+        results["member"] = {"partition": str(p)}
+        try:
+            ok = psi_p_hrep(p).contains(to_sym(h, p).free_values())
+        except SymmetryError as exc:
+            ok = False
+            results["member"]["differs"] = f"{set_text(exc.mask_a)},{set_text(exc.mask_b)}"
+        results["member"]["pass"] = ok
         failed = failed or not ok
     if "zy" in wanted:
         try:
@@ -235,9 +229,9 @@ def cmd_verify(args) -> int:
     report = [
         {
             "claim": v.claim,
-            "params": _jsonify(v.params),
+            "params": v.params,
             "pass": v.passed,
-            **({"counterexample": _jsonify(v.counterexample)} if v.counterexample else {}),
+            **({"counterexample": v.counterexample} if v.counterexample else {}),
             "wall_time_ms": round(v.elapsed_ms, 3),
         }
         for v in verdicts

@@ -29,7 +29,6 @@ from .setfn import (
     GroundSet,
     UnsupportedSizeError,
     _clear_denominators,
-    elemental_facet_ids,
     elemental_rows,
     is_polymatroid,
 )
@@ -507,11 +506,11 @@ def facet_reduction_check(p: Partition) -> bool:
     """Confirm the facet system of the reduced cone.
 
     Checks that (a) facets sharing an orbit label reduce to the exact
-    same row, matching the closed-form row for that label; (b) rows of
-    distinct labels are pairwise non-proportional; (c) membership in
-    the full elemental cone and in the reduced cone agree on random
-    symmetric functions (`REDUCTION_SAMPLES` of them, seeded with
-    `REDUCTION_SEED`).
+    same row, matching the closed-form row for that label; (b)
+    membership in the full elemental cone and in the reduced cone
+    agree on random symmetric functions (`REDUCTION_SAMPLES` of them,
+    seeded with `REDUCTION_SEED`).  Distinct rows need no check:
+    `HCone` rejects a repeated row direction.
     """
     reduced = psi_p_hrep(p)
     by_label = {label: coeffs for coeffs, label in reduced.rows}
@@ -519,7 +518,7 @@ def facet_reduction_check(p: Partition) -> bool:
         return False
 
     seen_labels = set()
-    for fid in elemental_facet_ids(p.ground):
+    for fid in elemental_rows(p.ground):
         label = facet_orbit_label(fid, p)
         if label not in by_label:
             return False
@@ -527,10 +526,6 @@ def facet_reduction_check(p: Partition) -> bool:
             return False
         seen_labels.add(label)
     if seen_labels != set(by_label):
-        return False
-
-    directions = {_content_normalize(coeffs) for coeffs, _ in reduced.rows}
-    if len(directions) != len(reduced.rows):
         return False
 
     full = gamma_n_hrep(p.ground)

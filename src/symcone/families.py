@@ -1,6 +1,6 @@
 """Constructors for the named rank functions used throughout: uniform
-matroids with or without loops, free expansion and its inverse factor,
-the generator family of the singleton-block reduced cone, and the
+matroids with or without loops, free expansion and its inverse factor
+(restriction is a factor too), the generator family of the singleton-block reduced cone, and the
 symmetric functions witnessing the gap to the entropic region."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .partitions import Partition
-from .setfn import GroundSet, SetFunction, is_polymatroid, mask_of
+from .setfn import GroundSet, SetFunction, consecutive_masks, elements_of, is_polymatroid
 from .symmetry import SymVector, from_sym, symmetrize
 
 
@@ -53,14 +53,8 @@ def canonical_expansion(h: SetFunction) -> ExpansionMap:
     if any(v.denominator != 1 for v in singles):
         raise ValueError("expansion needs integer singleton values")
     sizes = [int(v) for v in singles]
-    m = sum(sizes)
-    target = GroundSet(m)
-    images = []
-    start = 1
-    for size in sizes:
-        images.append(mask_of(range(start, start + size)))
-        start += size
-    return ExpansionMap(h.ground, target, tuple(images))
+    images = consecutive_masks(sizes)
+    return ExpansionMap(h.ground, GroundSet(sum(sizes)), images)
 
 
 def uniform(m: int, n: int) -> SetFunction:
@@ -120,6 +114,18 @@ def factor(g: SetFunction, phi: ExpansionMap) -> SetFunction:
     )
 
 
+def restrict(f: SetFunction, M: int) -> SetFunction:
+    """Restriction of `f` to the subset M, relabelled order-preservingly:
+    the factor of f through the injection of {1..|M|} onto M."""
+    if M == 0:
+        raise ValueError("cannot restrict to the empty set")
+    if M > f.ground.full_mask:
+        raise ValueError("subset out of range")
+    els = elements_of(M)
+    onto = ExpansionMap(GroundSet(len(els)), f.ground, tuple(1 << (e - 1) for e in els))
+    return factor(f, onto)
+
+
 def u1_loop(n: int) -> SetFunction:
     """Indicator rank |A intersect {1}|: one free element, loops elsewhere."""
     if n < 1:
@@ -131,12 +137,8 @@ def phi_map(m: int, n: int) -> ExpansionMap:
     """Element 1 maps to the first m - n + 1 targets, element i to {i + m - n}."""
     if not n - 1 <= m <= 2 * n - 2:
         raise ValueError(f"target size {m} out of range for {n} elements")
-    source = GroundSet(n)
-    target = GroundSet(m)
-    images = [mask_of(range(1, m - n + 2))]
-    for i in range(2, n + 1):
-        images.append(mask_of([i + m - n]))
-    return ExpansionMap(source, target, tuple(images))
+    images = consecutive_masks((m - n + 1,) + (1,) * (n - 1))
+    return ExpansionMap(GroundSet(n), GroundSet(m), images)
 
 
 def u_km(k: int, m: int, n: int) -> SetFunction:
@@ -199,9 +201,7 @@ def gap_witness(n1: int, n2: int) -> SetFunction:
     """Witness on {1..n1+n2} with first block {1..n1}."""
     if n1 < 2 or n2 < 2:
         raise ValueError("both blocks must have size at least 2")
-    ground = GroundSet(n1 + n2)
-    blocks = (mask_of(range(1, n1 + 1)), mask_of(range(n1 + 1, n1 + n2 + 1)))
-    return gap_witness_blocks(Partition(ground, blocks))
+    return gap_witness_blocks(Partition(GroundSet(n1 + n2), consecutive_masks((n1, n2))))
 
 
 def build_family(tag: str) -> SetFunction:

@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional
 
-from .setfn import GroundSet, elements_of, mask_of
+from .setfn import GroundSet, consecutive_masks, elements_of
 
 #: A partition vector is a plain tuple of per-block intersection counts.
 PartitionVector = tuple
@@ -102,9 +102,6 @@ class Partition:
             blocks.append(sum(ground.singleton(e) for e in els))
         return cls(ground, tuple(blocks))
 
-    def to_json(self) -> list:
-        return [list(elements_of(b)) for b in self.blocks]
-
 
 def partition_vector(A: int, p: Partition) -> PartitionVector:
     """Per-block intersection counts of the subset A."""
@@ -179,12 +176,7 @@ def canonical_partition(parts, ground: GroundSet = None) -> Partition:
         ground = GroundSet(n)
     elif ground.n != n:
         raise ValueError("parts do not sum to the ground set size")
-    blocks = []
-    start = 1
-    for size in parts:
-        blocks.append(mask_of(range(start, start + size)))
-        start += size
-    return Partition(ground, tuple(blocks))
+    return Partition(ground, consecutive_masks(parts))
 
 
 def canonical_representatives(n: int) -> list:

@@ -47,6 +47,20 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def consecutive_masks(sizes: Iterable[int]) -> tuple:
+    """Masks of consecutive runs of the given sizes, the first run
+    starting at element 1; a size 0 gives the empty mask.  ValueError
+    names a negative size."""
+    masks = []
+    start = 0
+    for size in sizes:
+        if size < 0:
+            raise ValueError(f"run size {size} is negative")
+        masks.append(((1 << size) - 1) << start)
+        start += size
+    return tuple(masks)
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted elements of a subset mask."""
     out = []
@@ -204,17 +218,10 @@ class LinearForm:
                 raise ValueError("coefficient mask out of range")
         object.__setattr__(self, "coeffs", norm)
 
-    @classmethod
-    def make(cls, ground: GroundSet, coeffs: dict) -> "LinearForm":
-        return cls(ground, tuple(coeffs.items()))
-
     def evaluate(self, f: SetFunction) -> Fraction:
         if f.ground != self.ground:
             raise ValueError("ground sets differ")
         return sum((c * f.values[m] for m, c in self.coeffs), Fraction(0))
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
 
 
 @dataclass(frozen=True, order=True)
@@ -275,25 +282,6 @@ def elemental_rows(ground: GroundSet) -> MappingProxyType:
         for k in submasks(full ^ mi ^ mj):
             rows[FacetId(mi | mj, k)] = (k | mi, k | mj, k, k | mi | mj)
     return MappingProxyType(rows)
-
-
-def elemental_form(ground: GroundSet, fid: FacetId) -> LinearForm:
-    """The elemental inequality ('>=0') carried by a facet identifier:
-    its row of `elemental_rows`.  ValueError if `fid` names no row."""
-    terms = elemental_rows(ground).get(fid)
-    if terms is None:
-        raise ValueError("facet id out of range for ground set")
-    return LinearForm(ground, tuple(zip(terms, (1, 1, -1, -1))))
-
-
-def elemental_facet_ids(ground: GroundSet) -> list[FacetId]:
-    """All facet identifiers, in table order, as a fresh list."""
-    return list(elemental_rows(ground))
-
-
-def elemental_forms(ground: GroundSet) -> list[tuple[FacetId, LinearForm]]:
-    """One inequality per facet of the polymatroid cone."""
-    return [(fid, elemental_form(ground, fid)) for fid in elemental_rows(ground)]
 
 
 def elemental_count(n: int) -> int:
@@ -367,24 +355,4 @@ def zhang_yeung_form(ground: GroundSet, roles: tuple[int, int, int, int] = (1, 2
     _add_mutual_info(coeffs, c, d, a, 3)
     _add_mutual_info(coeffs, c, d, b, 1)
     _add_mutual_info(coeffs, c, d, 0, -2)
-    return LinearForm.make(ground, {m: Fraction(w) for m, w in coeffs.items()})
-
-
-def restrict(f: SetFunction, M: int) -> SetFunction:
-    """Restriction of `f` to the subset M, relabelled order-preservingly."""
-    if M == 0:
-        raise ValueError("cannot restrict to the empty set")
-    if M > f.ground.full_mask:
-        raise ValueError("subset out of range")
-    els = elements_of(M)
-    ground = GroundSet(len(els))
-    bit_for = [1 << (e - 1) for e in els]
-
-    def embed(sub: int) -> int:
-        m = 0
-        for pos in range(len(els)):
-            if sub >> pos & 1:
-                m |= bit_for[pos]
-        return m
-
-    return SetFunction(ground, tuple(f(embed(a)) for a in ground.subsets()))
+    return LinearForm(ground, tuple(coeffs.items()))

@@ -19,7 +19,7 @@ from .partitions import Partition, partition_vector
 from .setfn import (
     FacetId,
     SetFunction,
-    elemental_facet_ids,
+    elemental_rows,
     set_text,
 )
 
@@ -255,7 +255,7 @@ def orbit_count_formula(p: Partition) -> int:
 def orbit_sizes(p: Partition) -> dict:
     """Number of elemental facets in each orbit, by direct labelling."""
     out: dict = {}
-    for fid in elemental_facet_ids(p.ground):
+    for fid in elemental_rows(p.ground):
         lab = facet_orbit_label(fid, p)
         out[lab] = out.get(lab, 0) + 1
     return out

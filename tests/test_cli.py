@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -109,6 +110,17 @@ class TestCheck:
         path.write_text(uniform(2, 4).to_text())
         assert main(["check", "--member", "--function", str(path)]) == 0
         assert capsys.readouterr().out == "member: pass partition=1,2,3,4\n"
+
+    def test_membership_of_asymmetric_function_fails(self, capsys, tmp_path):
+        # a polymatroid, but h({1}) = 1 and h({2}) = 2 share one block
+        path = tmp_path / "asym.txt"
+        path.write_text("1 1\n2 2\n3 2\n")
+        argv = ["check", "--polymatroid", "--member", "--partition", "1,2",
+                "--function", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "polymatroid: pass\nmember: FAIL partition=1,2 differs={1},{2}\n"
+        )
 
     def test_non_polymatroid_names_violated_facet(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -235,6 +247,16 @@ class TestVerifySubcommand:
         assert out.splitlines()[-1] == "total 132 failed 0"
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "60b04f4198a450a7cbf9aa092d5645cd339627e7f7c078add8ac04c46f5153cb"
+        )
+
+    def test_json_report_bytes_pinned(self, capsys):
+        # same report as the text pin, with the timings masked
+        assert main(["verify", "--n-max", "4", "--format", "json"]) == 0
+        out, count = re.subn(r'"wall_time_ms": [0-9.e+-]+', '"wall_time_ms": 0',
+                             capsys.readouterr().out)
+        assert count == 132
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8354bb203d150fa23627342f9cb5671b929913a53b8ab50ce0fa5118cc7b64c9"
         )
 
     def test_n_max_below_two_is_usage_error(self, capsys):

@@ -34,7 +34,7 @@ from symcone import (
     uniform,
 )
 from symcone.families import random_polymatroid, random_symmetric_function
-from symcone.setfn import FacetId, elemental_facet_ids
+from symcone.setfn import FacetId, elemental_rows
 from symcone.symmetry import facet_orbit_label
 
 from conftest import (
@@ -121,7 +121,7 @@ class TestHRepConstruction:
     def test_reduced_rows_match_cone_rows(self):
         p = canonical_partition((2, 2))
         by_label = {label: coeffs for coeffs, label in psi_p_hrep(p).rows}
-        for fid in elemental_facet_ids(p.ground):
+        for fid in elemental_rows(p.ground):
             label = facet_orbit_label(fid, p)
             assert reduced_facet_row(fid, p) == by_label[label]
 
@@ -472,6 +472,27 @@ class TestConicDecompose:
             used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             found += [f"{path.name}:{line} {name}"
                       for name, line in bound.items() if name not in used]
+        assert found == []
+
+    def test_package_has_no_unused_private_helpers(self):
+        # a module-level `_name` function or class needs a reference
+        # outside its own definition, in any module of the package
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        trees = {path.name: ast.parse(path.read_text(), str(path))
+                 for path in sorted(src.glob("*.py"))}
+        found = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_")
+                        and not node.name.startswith("__")):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                refs = [n for other in trees.values() for n in ast.walk(other)
+                        if id(n) not in inside
+                        and node.name in (getattr(n, "id", None), getattr(n, "attr", None))]
+                if not refs:
+                    found.append(f"{name}:{node.lineno} {node.name}")
         assert found == []
 
     def test_matches_fraction_simplex_on_random_cones(self, rng):

@@ -98,6 +98,11 @@ class TestFreeExpansion:
         g = free_expansion(h, phi)
         assert g.values == (0, 1)
 
+    def test_negative_singleton_names_the_size(self):
+        h = SetFunction(GroundSet(2), (0, -1, 2, 1))
+        with pytest.raises(ValueError, match="run size -1 is negative"):
+            canonical_expansion(h)
+
     def test_non_integer_rejected(self):
         h = Fraction(1, 2) * uniform(2, 4)
         with pytest.raises(ValueError):

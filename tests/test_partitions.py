@@ -37,7 +37,6 @@ class TestPartitionType:
         p = Partition.parse("1,2|3,4", g)
         assert p.blocks == (0b0011, 0b1100)
         assert str(p) == "1,2|3,4"
-        assert p.to_json() == [[1, 2], [3, 4]]
 
     def test_parse_rejects_empty_block(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from symcone import (
     SetFunction,
     UnsupportedSizeError,
     elemental_count,
-    elemental_forms,
+    elemental_rows,
     gap_witness,
     is_matroid,
     is_polymatroid,
@@ -21,7 +21,7 @@ from symcone import (
     zhang_yeung_form,
 )
 from symcone.families import random_polymatroid
-from symcone.setfn import elemental_facet_ids, elemental_form, elemental_rows
+from symcone.setfn import consecutive_masks
 
 from conftest import fraction_first_violation, random_rational_function
 
@@ -41,12 +41,23 @@ class TestGroundSet:
         assert g.singleton(3) == 0b100
         assert mask_of([1, 3, 4]) == 0b1101
 
+    def test_consecutive_masks(self):
+        assert consecutive_masks((2, 0, 1, 3)) == (0b11, 0, 0b100, 0b111000)
+        assert consecutive_masks(()) == ()
+        with pytest.raises(ValueError, match="run size -2 is negative"):
+            consecutive_masks((1, -2))
+
+
+def row_value(f, row):
+    a, b, c, d = row
+    return f(a) + f(b) - f(c) - f(d)
+
 
 class TestElementalForms:
     def test_small_counts(self):
-        assert len(elemental_forms(GroundSet(3))) == 9
-        assert len(elemental_forms(GroundSet(4))) == 28
-        assert len(elemental_forms(GroundSet(1))) == 1
+        assert len(elemental_rows(GroundSet(3))) == 9
+        assert len(elemental_rows(GroundSet(4))) == 28
+        assert len(elemental_rows(GroundSet(1))) == 1
 
     def test_count_formula(self):
         for n in range(1, 9):
@@ -58,33 +69,26 @@ class TestElementalForms:
                 )
                 assert elemental_count(n) == brute
         for n in range(1, 7):
-            assert len(elemental_forms(GroundSet(n))) == elemental_count(n)
+            assert len(elemental_rows(GroundSet(n))) == elemental_count(n)
 
     def test_n1_form_is_nonnegativity(self):
-        ((fid, form),) = elemental_forms(GroundSet(1))
+        ((fid, row),) = elemental_rows(GroundSet(1)).items()
         assert fid == FacetId(0b1)
-        assert form.as_dict() == {0b1: Fraction(1)}
+        assert row == (0b1, 0, 0, 0)  # h({1}) - h({}) >= 0
 
     def test_one_shared_read_only_table(self):
         table = elemental_rows(GroundSet(4))
         assert elemental_rows(GroundSet(4)) is table
         with pytest.raises(TypeError):
             table[FacetId(0b1)] = (0, 0, 0, 0)
-        ids = elemental_facet_ids(GroundSet(4))
-        ids.clear()
-        assert elemental_facet_ids(GroundSet(4)) == list(table)
-
-    def test_out_of_range_facet_id_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            elemental_form(GroundSet(2), FacetId(0b101))
 
     def test_forms_agree_with_mutual_info(self, rng):
         ground = GroundSet(4)
         f = random_polymatroid(ground, rng)
-        for fid, form in elemental_forms(ground):
+        for fid, row in elemental_rows(ground).items():
             if fid.I.bit_count() == 2:
                 i, j = [e for e in range(1, 5) if fid.I >> (e - 1) & 1]
-                assert form.evaluate(f) == mutual_info(f, i, j, fid.K)
+                assert row_value(f, row) == mutual_info(f, i, j, fid.K)
 
 
 class TestPolymatroidChecks:
@@ -110,14 +114,14 @@ class TestPolymatroidChecks:
 
     def test_conic_combinations_stay_nonnegative(self, rng):
         ground = GroundSet(4)
-        forms = [form for _, form in elemental_forms(ground)]
+        rows = list(elemental_rows(ground).values())
         for _ in range(20):
             f = random_polymatroid(ground, rng)
-            a = forms[rng.randrange(len(forms))]
-            b = forms[rng.randrange(len(forms))]
+            a = rows[rng.randrange(len(rows))]
+            b = rows[rng.randrange(len(rows))]
             wa = Fraction(rng.randint(0, 5), rng.randint(1, 3))
             wb = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-            assert wa * a.evaluate(f) + wb * b.evaluate(f) >= 0
+            assert wa * row_value(f, a) + wb * row_value(f, b) >= 0
 
     def test_first_violation_matches_fraction_reference(self, rng):
         """Same first violated facet as a Fraction scan, on mixed-denominator
