@@ -8,10 +8,11 @@ a simplicial subcone, then the remaining rows are inserted one at a
 time, in the order the cone lists them, combining adjacent
 positive/negative ray pairs.  Tight sets are int bitmasks and
 adjacency is combinatorial: no third ray is tight on all the rows the
-pair shares.  Membership tests scale each input to integers once and
-take integer dot products.  Conic decomposition is a phase-1 simplex
-with Bland's rule on a fraction-free integer tableau; infeasibility
-yields a separating functional.
+pair shares.  Membership tests scale each input to integers once, in
+one `as_integer_ratio()` pass, and take integer dot products.  Conic
+decomposition is a phase-1 simplex with Bland's rule on a
+fraction-free integer tableau; infeasibility yields a separating
+functional.
 """
 
 from __future__ import annotations
@@ -472,7 +473,10 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
         for i in range(d):
             if i != leave:
                 f = tab[i][enter]
-                tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], row)]
+                if f:
+                    tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], row)]
+                else:
+                    tab[i] = [piv * a // den for a in tab[i]]
         f = obj[enter]
         obj = [(piv * a - f * b) // den for a, b in zip(obj, row)]
         den = piv

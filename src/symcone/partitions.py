@@ -4,7 +4,7 @@ representatives indexed by the integer partitions of n."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from typing import Optional
 
@@ -64,16 +64,10 @@ class Partition:
         """`(position, smallest)`: `position[mask]` is the index in
         `count_tuples` of the count tuple of `mask`, and `smallest[r]`
         is the smallest mask whose count tuple has index `r` (the first
-        k_i elements of each block)."""
-        position = []
-        smallest = {}
-        for mask in self.ground.subsets():
-            r = 0
-            for b in self.blocks:
-                r = r * (b.bit_count() + 1) + (mask & b).bit_count()
-            position.append(r)
-            smallest.setdefault(r, mask)
-        return tuple(position), tuple(smallest[r] for r in range(len(smallest)))
+        k_i elements of each block).  Built once per partition: equal
+        partitions share one pair of tuples for the life of the
+        process."""
+        return _count_index(self)
 
     def __str__(self) -> str:
         return "|".join(
@@ -101,6 +95,20 @@ class Partition:
                 raise ValueError(f"element {repeated} repeated in partition literal {text!r}")
             blocks.append(sum(ground.singleton(e) for e in els))
         return cls(ground, tuple(blocks))
+
+
+@cache
+def _count_index(p: Partition) -> tuple:
+    """`Partition.count_index`, shared by equal partitions."""
+    position = []
+    smallest = {}
+    for mask in p.ground.subsets():
+        r = 0
+        for b in p.blocks:
+            r = r * (b.bit_count() + 1) + (mask & b).bit_count()
+        position.append(r)
+        smallest.setdefault(r, mask)
+    return tuple(position), tuple(smallest[r] for r in range(len(smallest)))
 
 
 def partition_vector(A: int, p: Partition) -> PartitionVector:

@@ -29,14 +29,24 @@ def _clear_denominators(vec) -> tuple:
     """`(ints, m)`: `m` is the lcm of the denominators of `vec` and
     `ints[i] = vec[i] * m`.
 
-    `int` and `Fraction` entries are read as they are; anything else
-    goes through `Fraction(x)` first.
+    One pass reads `as_integer_ratio()` once per entry and keeps the
+    running lcm; an entry without that method (a `str`) goes through
+    `Fraction(x)` first.  `vec` may be any iterable and is read once.
     """
-    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    m = lcm(*[x.denominator for x in vals])
+    nums, dens = [], []
+    m = 1
+    for x in vec:
+        try:
+            num, den = x.as_integer_ratio()
+        except AttributeError:
+            num, den = Fraction(x).as_integer_ratio()
+        nums.append(num)
+        dens.append(den)
+        if m % den:
+            m = lcm(m, den)
     if m == 1:
-        return [x.numerator for x in vals], 1
-    return [x.numerator * (m // x.denominator) for x in vals], m
+        return nums, 1
+    return [num * (m // den) for num, den in zip(nums, dens)], m
 
 
 def mask_of(elements: Iterable[int]) -> int:

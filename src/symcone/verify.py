@@ -37,6 +37,7 @@ from .partitions import (
 from .setfn import (
     GroundSet,
     SetFunction,
+    _clear_denominators,
     elements_of,
     polymatroid_violation,
     zhang_yeung_form,
@@ -350,6 +351,21 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     return IsolationWitness(p, target, context, fn)
 
 
+@cache
+def _context_families(p: Partition, context: Partition) -> tuple:
+    """`(posmap, families)` for a context merging two blocks of p:
+    `posmap` is `_merge_map(p, context)`, and `families` maps each
+    collapsed label `(lambda_I, lambda_K)` to the `(row index, label)`
+    pairs of the rows of `psi_p_hrep(p)` that collapse onto it, in row
+    order.  Built once per pair; a context that does not merge exactly
+    two blocks raises ValueError on every call."""
+    posmap = _merge_map(p, context)
+    families: dict = {}
+    for i, (_, label) in enumerate(psi_p_hrep(p).rows):
+        families.setdefault(_collapse(label, posmap, context.t), []).append((i, label))
+    return posmap, {key: tuple(rows) for key, rows in families.items()}
+
+
 def check_isolation(w: IsolationWitness) -> Verdict:
     """Verify the three isolation conditions exactly.
 
@@ -369,15 +385,13 @@ def check_isolation(w: IsolationWitness) -> Verdict:
             vec = _free_svector(w.function, p)
         except SymmetryError:
             return False, {"symmetry": str(p)}
-        cone = psi_p_hrep(p)
-        values = dict(zip((label for _, label in cone.rows), cone.row_values(vec)))
-        posmap = _merge_map(p, w.context)
-        want = _collapse(w.target, posmap, w.context.t)
-        family = [lab for lab in values if _collapse(lab, posmap, w.context.t) == want]
-        if w.target not in family:
-            return False, {"family": [str(lab) for lab in family]}
-        for lab in family:
-            val = values[lab]
+        posmap, families = _context_families(p, w.context)
+        family = families.get(_collapse(w.target, posmap, w.context.t), ())
+        if w.target not in (lab for _, lab in family):
+            return False, {"family": [str(lab) for _, lab in family]}
+        values = psi_p_hrep(p).row_values(vec)
+        for i, lab in family:
+            val = values[i]
             if lab == w.target:
                 if val <= 0:
                     return False, {"label": str(lab), "value": str(val)}
@@ -402,9 +416,18 @@ def check_isolation(w: IsolationWitness) -> Verdict:
 
 @cache
 def _family_vectors(n: int) -> tuple:
-    """Reduced vectors of the generator family, built once per n."""
+    """Reduced vectors of the generator family as int tuples, built once
+    per n.  Every member is integer-valued; a denominator other than 1
+    raises ArithmeticError."""
     p = canonical_partition((1, n - 1))
-    return tuple(_free_svector(h, p) for h in family_Un(n))
+    vectors = []
+    for h in family_Un(n):
+        ints, m = _clear_denominators(_free_svector(h, p))
+        if m != 1:
+            raise ArithmeticError(f"generator {len(vectors)} of family_Un({n}) "
+                                  "is not integer-valued")
+        vectors.append(tuple(ints))
+    return tuple(vectors)
 
 
 def decompose_1n(h: SetFunction, n: int) -> DecomposeResult:

@@ -200,6 +200,16 @@ def brute_force_rays(rows, dim: int) -> set:
     return {vec for vec, ok in verdicts.items() if ok}
 
 
+def reference_clear_denominators(vec) -> tuple:
+    """`(ints, m)` by three list passes: convert, lcm of the
+    denominators, scale.  The reference for `setfn._clear_denominators`."""
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    m = math.lcm(*[x.denominator for x in vals])
+    if m == 1:
+        return [x.numerator for x in vals], 1
+    return [x.numerator * (m // x.denominator) for x in vals], m
+
+
 # Fraction references for the integer kernels of `HCone.contains`,
 # `HCone.row_values`, `polymatroid_violation` and the symmetry check.
 # They share no code with symcone: rows are plain coefficient tuples and

@@ -6,12 +6,15 @@ from symcone import (
     canonical_partition,
     canonical_representatives,
     covers,
+    decompose_1n,
     integer_partition_of,
     integer_partitions,
     mask_of,
     partition_vector,
     refines,
+    uniform,
 )
+import symcone.partitions as partitions_module
 from symcone.partitions import block_map
 
 from conftest import all_set_partitions, brute_integer_partition_count
@@ -155,6 +158,38 @@ class TestRefinesAndCovers:
         assert block_map(Partition.parse("3|2,4|1", g), p) == (0, 1, 0)
         assert block_map(p, canonical_partition((2, 2))) is None
         assert block_map(canonical_partition((2, 2)), p) is None
+
+
+class TestCountIndex:
+    def test_matches_brute_force_on_all_set_partitions(self):
+        for n in range(1, 6):
+            for p in all_set_partitions(n):
+                sizes = [bin(b).count("1") for b in p.blocks]
+                position, smallest = [], {}
+                for mask in range(1 << n):
+                    r = 0
+                    for b, s in zip(p.blocks, sizes):
+                        r = r * (s + 1) + bin(mask & b).count("1")
+                    position.append(r)
+                    smallest[r] = min(smallest.get(r, mask), mask)
+                assert p.count_index == (
+                    tuple(position), tuple(smallest[r] for r in sorted(smallest)))
+                assert sorted(smallest) == list(range(len(p.count_tuples)))
+
+    def test_equal_partitions_share_one_index(self):
+        g = GroundSet(5)
+        first = Partition(g, (0b00101, 0b11010))
+        second = Partition(GroundSet(5), (0b00101, 0b11010))
+        assert first is not second
+        assert first.count_index is second.count_index
+        assert canonical_partition((2, 3)).count_index is canonical_partition((2, 3)).count_index
+
+    def test_repeated_decompositions_build_one_index(self):
+        h = uniform(2, 4)
+        partitions_module._count_index.cache_clear()
+        for _ in range(2):
+            assert decompose_1n(h, 4).feasible
+        assert partitions_module._count_index.cache_info().misses == 1
 
 
 class TestCanonicalRepresentatives:

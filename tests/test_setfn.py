@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -21,9 +22,13 @@ from symcone import (
     zhang_yeung_form,
 )
 from symcone.families import random_polymatroid
-from symcone.setfn import consecutive_masks
+from symcone.setfn import _clear_denominators, consecutive_masks
 
-from conftest import fraction_first_violation, random_rational_function
+from conftest import (
+    fraction_first_violation,
+    random_rational_function,
+    reference_clear_denominators,
+)
 
 
 class TestGroundSet:
@@ -46,6 +51,63 @@ class TestGroundSet:
         assert consecutive_masks(()) == ()
         with pytest.raises(ValueError, match="run size -2 is negative"):
             consecutive_masks((1, -2))
+
+
+class TestClearDenominators:
+    ENTRIES = {
+        "int": [0, 3, -7, 12],
+        "bool": [True, False, True],
+        "Fraction": [Fraction(1, 2), Fraction(-5, 6), Fraction(4), Fraction(0)],
+        "float": [0.5, -1.25, 3.0, 0.1],
+        "Decimal": [Decimal("0.2"), Decimal("-1.75"), Decimal(4)],
+        "str": ["1/3", "-2", "0.25", " 7/4 "],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ENTRIES))
+    def test_matches_reference_on_one_type(self, kind):
+        vec = self.ENTRIES[kind]
+        assert _clear_denominators(vec) == reference_clear_denominators(vec)
+        for x in vec:
+            assert _clear_denominators([x]) == reference_clear_denominators([x])
+
+    def test_matches_reference_on_mixed_types(self):
+        kinds = sorted(self.ENTRIES)
+        mixed = [x for group in zip(*(self.ENTRIES[k] for k in kinds)) for x in group]
+        assert _clear_denominators(mixed) == reference_clear_denominators(mixed)
+        for a, b in combinations(kinds, 2):
+            vec = self.ENTRIES[a] + self.ENTRIES[b]
+            assert _clear_denominators(vec) == reference_clear_denominators(vec)
+            assert _clear_denominators(tuple(vec)) == reference_clear_denominators(vec)
+
+    def test_random_fraction_vectors(self, rng):
+        for _ in range(200):
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                   for _ in range(rng.randint(1, 40))]
+            assert _clear_denominators(vec) == reference_clear_denominators(vec)
+
+    def test_empty(self):
+        assert _clear_denominators([]) == ([], 1)
+        assert reference_clear_denominators([]) == ([], 1)
+
+    def test_generator_read_once(self):
+        vec = [Fraction(1, 2), 3, "2/3", 0.25]
+        reads = []
+
+        def entries():
+            for x in vec:
+                reads.append(x)
+                yield x
+
+        assert _clear_denominators(entries()) == reference_clear_denominators(vec)
+        assert reads == vec
+
+    @pytest.mark.parametrize("bad", ["x", float("nan"), "1/0"])
+    def test_same_exception_as_reference(self, bad):
+        for vec in ([bad], [Fraction(1, 2), bad, 3]):
+            with pytest.raises(Exception) as want:
+                reference_clear_denominators(vec)
+            with pytest.raises(want.type):
+                _clear_denominators(vec)
 
 
 def row_value(f, row):

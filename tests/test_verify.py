@@ -37,6 +37,7 @@ from symcone import (
     verify_psi_n,
 )
 import symcone.cone as cone_module
+import symcone.partitions as partitions_module
 import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
 from symcone.setfn import elemental_rows
@@ -297,7 +298,8 @@ class TestIsolations:
         # the cone and label builders keep what they build; a run that
         # finds them filled must give the verdicts of one that fills them
         for builder in (psi_p_hrep, gamma_n_hrep, symmetry_module._orbit_labels,
-                        elemental_rows):
+                        elemental_rows, partitions_module._count_index,
+                        verify_module._context_families, verify_module._family_vectors):
             builder.cache_clear()
         cold, warm = ([(v.claim, v.params, v.passed) for v in run_suite(4)]
                       for _ in range(2))
@@ -367,6 +369,64 @@ class TestIsolations:
         bad = IsolationWitness(p, good.target, canonical_partition((4,)), good.function)
         with pytest.raises(ValueError, match="merge exactly two blocks"):
             check_isolation(bad)
+
+    def test_rejected_context_raises_on_every_call(self):
+        p = canonical_partition((1, 1, 2))
+        good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
+        for _ in range(3):
+            bad = IsolationWitness(p, good.target, canonical_partition((4,)),
+                                   good.function)
+            with pytest.raises(ValueError, match="merge exactly two blocks"):
+                check_isolation(bad)
+
+    def test_context_families_group_rows_by_collapse(self):
+        for n in range(2, 6):
+            reps = canonical_representatives(n)
+            for p in reps:
+                labels = [label for _, label in psi_p_hrep(p).rows]
+                for ctx in reps:
+                    if not covers(ctx, p):
+                        continue
+                    _, families = verify_module._context_families(p, ctx)
+                    for i, label in enumerate(labels):
+                        want = collapse_label(label, p, ctx)
+                        family = [(j, lab) for j, lab in enumerate(labels)
+                                  if collapse_label(lab, p, ctx) == want]
+                        key = (want.lambda_I, want.lambda_K)
+                        assert list(families[key]) == family
+                    assert sum(map(len, families.values())) == len(labels)
+
+    def test_context_families_built_once_per_pair(self):
+        verify_module._context_families.cache_clear()
+        for _ in range(2):
+            p = canonical_partition((1, 1, 2))
+            for label in orbit_labels(p):
+                assert check_isolation(
+                    build_isolation(p, label, canonical_partition((2, 2)))).passed
+        assert verify_module._context_families.cache_info().misses == 1
+
+
+class TestFamilyVectors:
+    def test_int_tuples_equal_to_reduced_vectors(self):
+        for n in range(2, 7):
+            p = canonical_partition((1, n - 1))
+            vectors = verify_module._family_vectors(n)
+            want = [to_sym(h, p).free_values() for h in family_Un(n)]
+            assert len(vectors) == len(want)
+            for vec, ref in zip(vectors, want):
+                assert type(vec) is tuple
+                assert all(type(x) is int for x in vec)
+                assert vec == ref
+
+    def test_fractional_member_raises(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "family_Un",
+                            lambda n: [g * Fraction(1, 2) for g in family_Un(n)])
+        verify_module._family_vectors.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="not integer-valued"):
+                verify_module._family_vectors(3)
+        finally:
+            verify_module._family_vectors.cache_clear()
 
 
 class TestCollapse:
