@@ -62,9 +62,8 @@ def uniform(m: int, n: int) -> SetFunction:
     if not 0 <= m <= n:
         raise ValueError(f"rank {m} out of range for {n} elements")
     ground = GroundSet(n)
-    return SetFunction.from_callable(
-        ground, lambda a: Fraction(min(m, a.bit_count()))
-    )
+    p = Partition(ground, (ground.full_mask,))
+    return from_sym(SymVector(p, tuple(min(m, k) for (k,) in p.count_tuples)))
 
 
 def uniform_on_support(rank: int, support: int, ground: GroundSet) -> SetFunction:
@@ -182,19 +181,16 @@ def gap_witness_blocks(p: Partition) -> SetFunction:
         raise ValueError("witness needs a two-block partition")
     if min(p.block_sizes) < 2:
         raise ValueError("witness needs both blocks of size at least 2")
-    special = p.blocks[0]
 
-    def value(a: int) -> Fraction:
-        c = a.bit_count()
-        if c == 0:
-            return Fraction(0)
-        if c == 1:
-            return Fraction(2)
+    def value(k: tuple) -> int:
+        c = sum(k)
+        if c < 2:
+            return 2 * c
         if c == 2:
-            return Fraction(4 if a & ~special == 0 else 3)
-        return Fraction(4)
+            return 4 if k[0] == 2 else 3
+        return 4
 
-    return SetFunction.from_callable(p.ground, value)
+    return from_sym(SymVector(p, tuple(map(value, p.count_tuples))))
 
 
 def gap_witness(n1: int, n2: int) -> SetFunction:

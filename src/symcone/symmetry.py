@@ -63,13 +63,14 @@ def _symmetry_violation(h: SetFunction, p: Partition) -> Optional[tuple]:
 def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
     """Orbit average of h under the block-permutation group of p.
 
-    Computed by the closed form: the value on A is the mean of h over
-    all subsets sharing A's count tuple, the orbit size being a
-    product of binomials.  One pass sums the integer-scaled values of h
-    (`h._scaled`, common denominator m) per count tuple through
+    Computed by the closed form: the value on a count tuple k is the
+    mean of h over all subsets with count tuple k, the orbit size being
+    a product of binomials.  One pass sums the integer-scaled values of
+    h (`h._scaled`, common denominator m) per count tuple through
     `Partition.count_index`; each mean is then one
-    `Fraction(total, m * orbit_size)`, read back per subset.  Equals
-    the |group|-term average but costs O(2**n) instead of O(prod n_i!).
+    `Fraction(total, m * orbit_size)`, and `from_sym` spreads the means
+    over the subsets.  Equals the |group|-term average but costs
+    O(2**n) instead of O(prod n_i!).
     """
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
@@ -79,11 +80,10 @@ def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
     for a, r in enumerate(position):
         sums[r] += vals[a]
     sizes = p.block_sizes
-    means = [
+    return from_sym(SymVector(p, tuple(
         Fraction(total, m * prod(comb(s, k) for s, k in zip(sizes, tup)))
         for total, tup in zip(sums, p.count_tuples)
-    ]
-    return SetFunction(h.ground, tuple(means[r] for r in position))
+    )))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .cone import (
     DecomposeResult,
+    HCone,
     _eliminate,
     conic_decompose,
     extreme_rays,
@@ -21,12 +22,7 @@ from .cone import (
     normalize_ray,
     psi_p_hrep,
 )
-from .families import (
-    family_Un,
-    gap_witness_blocks,
-    uniform,
-    uniform_on_support,
-)
+from .families import family_Un, gap_witness_blocks, uniform
 from .partitions import (
     Partition,
     block_map,
@@ -45,6 +41,8 @@ from .setfn import (
 from .symmetry import (
     OrbitLabel,
     SymmetryError,
+    SymVector,
+    from_sym,
     orbit_count_formula,
     orbit_labels,
     to_sym,
@@ -86,10 +84,6 @@ def _timed(claim: str, params: dict, run) -> Verdict:
     return Verdict(claim, params, passed, counterexample, elapsed)
 
 
-def _free_svector(h: SetFunction, p: Partition) -> tuple:
-    return to_sym(h, p).free_values()
-
-
 def _uncertified_ray(cone, rays):
     """The first ray that fails its certificate, else None.
 
@@ -117,7 +111,7 @@ def _ray_set_comparison(cone, expected_functions, p):
         return {"uncertified_ray": list(bad.direction)}, None
     got = {r.direction: r.tight for r in rays}
     want = [
-        normalize_ray(_free_svector(h, p)).direction for h in expected_functions
+        normalize_ray(to_sym(h, p).free_values()).direction for h in expected_functions
     ]
     if got.keys() == set(want):
         return None, [got[w] for w in want]
@@ -233,7 +227,7 @@ def verify_gap(p: Partition) -> Verdict:
         if bad is not None:
             return False, {"violated": str(bad)}
         try:
-            vec = _free_svector(witness, p)
+            vec = to_sym(witness, p).free_values()
         except SymmetryError:
             return False, {"symmetry": str(p)}
         if not psi_p_hrep(p).contains(vec):
@@ -278,7 +272,8 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
 
 
 def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
-    """Reduced values of the witness isolating a split-pair orbit.
+    """Reduced values, as ints, of the witness isolating a split-pair
+    orbit, keyed by the counts (i, j) in the two legs' blocks.
 
     Piecewise on the four index blocks split at (l1, l2) = (k1+1, k2+1):
     bilinear inside the low-low and high-high blocks, with corrected
@@ -304,18 +299,8 @@ def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
                     + j * (n1 - i)
                     + i * (n2 - l2)
                 )
-            grid[(i, j)] = Fraction(v)
+            grid[(i, j)] = v
     return grid
-
-
-def _mixed_pair_witness(p: Partition, u: int, v: int, ku: int, kv: int) -> SetFunction:
-    grid = _mixed_pair_grid(
-        p.blocks[u].bit_count(), p.blocks[v].bit_count(), ku, kv
-    )
-    bu, bv = p.blocks[u], p.blocks[v]
-    return SetFunction.from_callable(
-        p.ground, lambda a: grid[((a & bu).bit_count(), (a & bv).bit_count())]
-    )
 
 
 def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> IsolationWitness:
@@ -323,47 +308,55 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     inside its context family.
 
     `target` must label a facet orbit of p, and `context` must merge
-    exactly two blocks u, v of p; else ValueError.  An A label gets the
-    free matroid on its block, and a B label with both legs in {u, v}
-    the piecewise split-pair function.  Every other label gets the
-    uniform matroid on a support of blocks, loops elsewhere: the blocks
-    the label touches, plus u when none of them is u or v, with rank
+    exactly two blocks u, v of p; else ValueError.  The witness is
+    p-symmetric, so `from_sym` builds it from its value on each count
+    tuple k.  An A label on block l takes k[l], the free matroid on
+    its block.  A B label with both legs in {u, v} takes the split-pair
+    grid at (k[u], k[v]).  Every other label takes
+    min(rank, sum of k over a support of blocks), the uniform matroid
+    on the support with loops elsewhere: the support is the blocks the
+    label touches, plus u when none of them is u or v, and the rank is
     1 + the sum of lambda_K over the support.
     """
     if target not in set(orbit_labels(p)):
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
-    posmap = _merge_map(p, context)
+    posmap, _ = _context_families(p, context)
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
     touched = {i - 1 for i in target.blocks_touched()}
-    k = target.lambda_K
-    b = p.blocks
+    lk = target.lambda_K
+    tuples = p.count_tuples
 
     if target.kind == "A":
         (l,) = touched
-        fn = uniform_on_support(b[l].bit_count(), b[l], p.ground)
+        values = [k[l] for k in tuples]
     elif touched == {u, v}:
-        fn = _mixed_pair_witness(p, u, v, k[u], k[v])
+        sizes = p.block_sizes
+        grid = _mixed_pair_grid(sizes[u], sizes[v], lk[u], lk[v])
+        values = [grid[k[u], k[v]] for k in tuples]
     else:
         support = touched if touched & {u, v} else touched | {u}
-        rank = 1 + sum(k[i] for i in support)
-        fn = uniform_on_support(rank, sum(b[i] for i in support), p.ground)
-    return IsolationWitness(p, target, context, fn)
+        rank = 1 + sum(lk[i] for i in support)
+        values = [min(rank, sum(k[i] for i in support)) for k in tuples]
+    return IsolationWitness(p, target, context, from_sym(SymVector(p, tuple(values))))
 
 
 @cache
 def _context_families(p: Partition, context: Partition) -> tuple:
-    """`(posmap, families)` for a context merging two blocks of p:
-    `posmap` is `_merge_map(p, context)`, and `families` maps each
-    collapsed label `(lambda_I, lambda_K)` to the `(row index, label)`
-    pairs of the rows of `psi_p_hrep(p)` that collapse onto it, in row
-    order.  Built once per pair; a context that does not merge exactly
-    two blocks raises ValueError on every call."""
+    """`(posmap, families)` for a context merging two blocks of p, the
+    one table both halves of the isolation claim read: `posmap` is
+    `_merge_map(p, context)`, and `families` maps each collapsed label
+    `(lambda_I, lambda_K)` to an `HCone` of the rows of `psi_p_hrep(p)`
+    that collapse onto it, in row order.  Built once per pair; a
+    context that does not merge exactly two blocks raises ValueError
+    on every call."""
     posmap = _merge_map(p, context)
+    cone = psi_p_hrep(p)
     families: dict = {}
-    for i, (_, label) in enumerate(psi_p_hrep(p).rows):
-        families.setdefault(_collapse(label, posmap, context.t), []).append((i, label))
-    return posmap, {key: tuple(rows) for key, rows in families.items()}
+    for coeffs, label in cone.rows:
+        families.setdefault(_collapse(label, posmap, context.t), []).append((coeffs, label))
+    return posmap, {key: HCone(cone.dim, tuple(rows), cone.coords)
+                    for key, rows in families.items()}
 
 
 def check_isolation(w: IsolationWitness) -> Verdict:
@@ -372,8 +365,9 @@ def check_isolation(w: IsolationWitness) -> Verdict:
     Membership in the reduced cone, strict slack on the target orbit's
     row, equality on every other row of the context family: the rows
     whose labels collapse through `w.context` onto the collapse of
-    `w.target`.  A target outside that family (not a facet orbit of p)
-    fails with the family as counterexample.
+    `w.target`.  Only the family's rows are evaluated.  A target
+    outside that family (not a facet orbit of p) fails with the family
+    as counterexample.
     """
     p = w.partition
 
@@ -382,16 +376,15 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         if bad is not None:
             return False, {"violated": str(bad)}
         try:
-            vec = _free_svector(w.function, p)
+            vec = to_sym(w.function, p).free_values()
         except SymmetryError:
             return False, {"symmetry": str(p)}
         posmap, families = _context_families(p, w.context)
-        family = families.get(_collapse(w.target, posmap, w.context.t), ())
-        if w.target not in (lab for _, lab in family):
-            return False, {"family": [str(lab) for _, lab in family]}
-        values = psi_p_hrep(p).row_values(vec)
-        for i, lab in family:
-            val = values[i]
+        family = families.get(_collapse(w.target, posmap, w.context.t))
+        labels = [] if family is None else [lab for _, lab in family.rows]
+        if w.target not in labels:
+            return False, {"family": [str(lab) for lab in labels]}
+        for lab, val in zip(labels, family.row_values(vec)):
             if lab == w.target:
                 if val <= 0:
                     return False, {"label": str(lab), "value": str(val)}
@@ -422,7 +415,7 @@ def _family_vectors(n: int) -> tuple:
     p = canonical_partition((1, n - 1))
     vectors = []
     for h in family_Un(n):
-        ints, m = _clear_denominators(_free_svector(h, p))
+        ints, m = _clear_denominators(to_sym(h, p).free_values())
         if m != 1:
             raise ArithmeticError(f"generator {len(vectors)} of family_Un({n}) "
                                   "is not integer-valued")
@@ -438,7 +431,7 @@ def decompose_1n(h: SetFunction, n: int) -> DecomposeResult:
     if n < 2:
         raise ValueError(f"decomposition needs at least 2 elements, got {n}")
     p = canonical_partition((1, n - 1))
-    return conic_decompose(_free_svector(h, p), _family_vectors(n))
+    return conic_decompose(to_sym(h, p).free_values(), _family_vectors(n))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from symcone import (
 )
 from symcone.families import random_polymatroid
 
+from conftest import all_set_partitions
+
 
 def brute_expansion_oracle(h, phi):
     """Direct minimisation, written independently of the library path."""
@@ -61,6 +63,10 @@ class TestUniform:
         assert u(mask_of([1, 3, 4])) == 2
         assert uniform(4, 4).values == tuple(m.bit_count() for m in range(16))
         assert all(v == 0 for v in uniform(0, 3).values)
+        for n in range(1, 9):
+            for m in range(n + 1):
+                assert uniform(m, n).values == tuple(
+                    min(m, a.bit_count()) for a in range(1 << n))
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -228,6 +234,26 @@ class TestGapWitness:
         h = gap_witness_blocks(p)
         assert h(mask_of([2, 4])) == 4  # inside the special block
         assert h(mask_of([1, 3])) == 3
+        # every two-block partition with both blocks >= 2, in both block
+        # orders: first blocks that are not consecutive, that do not
+        # hold element 1, or that are the larger block
+        def value(a, first):
+            c = a.bit_count()
+            if c == 2:
+                return 4 if a & ~first == 0 else 3
+            return {0: 0, 1: 2}.get(c, 4)  # singletons 2, larger sets 4
+
+        checked = 0
+        for n in range(4, 7):
+            for q in all_set_partitions(n):
+                if q.t != 2 or min(q.block_sizes) < 2:
+                    continue
+                for blocks in (q.blocks, q.blocks[::-1]):
+                    h = gap_witness_blocks(Partition(q.ground, blocks))
+                    assert h.values == tuple(
+                        value(a, blocks[0]) for a in q.ground.subsets())
+                    checked += 1
+        assert checked == 2 * (3 + 10 + 25)
 
     def test_small_blocks_rejected(self):
         with pytest.raises(ValueError):

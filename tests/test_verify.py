@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -219,6 +220,27 @@ class TestIsolations:
         assert s[(1, 1)] == 3  # n2 + n1 - 1
         assert check_isolation(w).passed
 
+    def test_witness_values_pinned(self):
+        # every witness with n <= 6: each two-block shape against the
+        # one-block context, then each cover pair with a context of two
+        # or more blocks; the digest was recorded when the witnesses
+        # were still built subset by subset
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 7):
+            reps = canonical_representatives(n)
+            pairs = [(p, canonical_partition((n,))) for p in reps if p.t == 2]
+            pairs += [(p, ctx) for p in reps for ctx in reps
+                      if ctx.t > 1 and covers(ctx, p)]
+            for p, ctx in pairs:
+                for label in orbit_labels(p):
+                    values = build_isolation(p, label, ctx).function.values
+                    digest.update((",".join(map(str, values)) + "\n").encode())
+                    count += 1
+        assert count == 1645
+        assert digest.hexdigest() == (
+            "6f7c02f71d21646fd8431f82bb0a05f52c766d6690462fc6b3fb8b02c991f318")
+
     def test_all_labels_all_two_block_partitions(self):
         for n in range(2, 7):
             ctx = canonical_partition((n,))
@@ -380,21 +402,23 @@ class TestIsolations:
                 check_isolation(bad)
 
     def test_context_families_group_rows_by_collapse(self):
+        # each family is an HCone holding the cone's rows (coefficients
+        # and label) that share one collapse, in the cone's row order
         for n in range(2, 6):
             reps = canonical_representatives(n)
             for p in reps:
-                labels = [label for _, label in psi_p_hrep(p).rows]
+                rows = psi_p_hrep(p).rows
                 for ctx in reps:
                     if not covers(ctx, p):
                         continue
                     _, families = verify_module._context_families(p, ctx)
-                    for i, label in enumerate(labels):
+                    for _, label in rows:
                         want = collapse_label(label, p, ctx)
-                        family = [(j, lab) for j, lab in enumerate(labels)
-                                  if collapse_label(lab, p, ctx) == want]
+                        family = [row for row in rows
+                                  if collapse_label(row[1], p, ctx) == want]
                         key = (want.lambda_I, want.lambda_K)
-                        assert list(families[key]) == family
-                    assert sum(map(len, families.values())) == len(labels)
+                        assert list(families[key].rows) == family
+                    assert sum(len(f.rows) for f in families.values()) == len(rows)
 
     def test_context_families_built_once_per_pair(self):
         verify_module._context_families.cache_clear()
