@@ -164,7 +164,12 @@ def verify_psi_1n1(n: int) -> Verdict:
 
 
 def verify_facet_bijection(p: Partition) -> Verdict:
-    """Distinct reduced facets match the orbit labels and their count."""
+    """Distinct reduced facets match the orbit labels and their count.
+
+    Exact: the label count against `orbit_count_formula`, then
+    `facet_reduction_check`, which proves that Gamma_n meets the
+    p-symmetric subspace in Psi_p.  It samples no functions.
+    """
 
     def run():
         expected = orbit_count_formula(p)
@@ -318,9 +323,10 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     label touches, plus u when none of them is u or v, and the rank is
     1 + the sum of lambda_K over the support.
     """
-    if target not in set(orbit_labels(p)):
+    posmap, families = _context_families(p, context)
+    family = families.get(_collapse(target, posmap, context.t))
+    if family is None or target not in (label for _, label in family.rows):
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
-    posmap, _ = _context_families(p, context)
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
     touched = {i - 1 for i in target.blocks_touched()}

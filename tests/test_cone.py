@@ -495,6 +495,30 @@ class TestConicDecompose:
                     found.append(f"{name}:{node.lineno} {node.name}")
         assert found == []
 
+    def test_package_import_layers(self):
+        # module-level `from .x import` edges; `__init__.py` re-exports all
+        below_cli = {"setfn", "partitions", "symmetry", "cone", "families"}
+        layers = {
+            "setfn": set(),
+            "partitions": {"setfn"},
+            "symmetry": {"partitions", "setfn"},
+            "cone": {"partitions", "setfn", "symmetry"},
+            "families": {"partitions", "setfn", "symmetry"},
+            "verify": below_cli,
+            "cli": below_cli | {"verify"},
+        }
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        found = {}
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            found[path.stem] = {
+                node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+            }
+        assert found == layers
+
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""
         outcomes = []

@@ -148,6 +148,22 @@ class TestFacetBijection:
         assert not v.passed
         assert v.counterexample == {"reduction": str(p)}
 
+    @pytest.mark.parametrize("corruption", ["changed", "dropped"])
+    def test_wrong_closed_form_row_fails(self, monkeypatch, corruption):
+        # the exact reduction check alone catches a bad cone row
+        p = canonical_partition((2, 2))
+        real = psi_p_hrep(p)
+        (coeffs, label), *rest = real.rows
+        if corruption == "changed":
+            rows = ((coeffs[:-1] + (coeffs[-1] + 1,), label), *rest)
+        else:
+            rows = tuple(rest)
+        bad = HCone(real.dim, rows, real.coords)
+        monkeypatch.setattr(cone_module, "psi_p_hrep", lambda q: bad)
+        v = verify_facet_bijection(p)
+        assert not v.passed
+        assert v.counterexample == {"reduction": str(p)}
+
     def test_count_off_by_one_fails(self, monkeypatch):
         p = canonical_partition((2, 2))
         real = verify_module.orbit_count_formula
@@ -375,8 +391,15 @@ class TestIsolations:
 
     def test_unknown_label_rejected(self):
         p = canonical_partition((2, 2))
-        with pytest.raises(ValueError):
-            build_isolation(p, OrbitLabel((2, 0), (1, 0)), canonical_partition((4,)))
+        context = canonical_partition((4,))
+        for target in (
+            OrbitLabel((2, 0), (1, 0)),  # right length, not an orbit of p
+            OrbitLabel((1,), (0,)),  # t = 1: collapses onto a real family
+            OrbitLabel((0, 1, 0), (0, 0, 0)),  # t = 3: likewise
+            OrbitLabel((0, 0, 1), (0, 0, 0)),  # t = 3: collapses onto none
+        ):
+            with pytest.raises(ValueError, match="does not name a facet orbit"):
+                build_isolation(p, target, context)
 
     def test_context_must_cover(self):
         p = canonical_partition((1, 1, 2))
