@@ -9,7 +9,11 @@ time, in the order the cone lists them, combining adjacent
 positive/negative ray pairs.  Tight sets are int bitmasks and
 adjacency is combinatorial: no third ray is tight on all the rows the
 pair shares.  Membership tests scale each input to integers once, in
-one `as_integer_ratio()` pass, and take integer dot products.  Conic
+one `as_integer_ratio()` pass, and take integer dot products.  Every
+row of the cones built here has at most four nonzero terms, so each
+cone evaluates its rows through one fixed-arity row kernel: membership,
+row values and the values of an inserted row over the current rays
+all read it.  A cone with a longer row keeps a sparse loop.  Conic
 decomposition is a phase-1 simplex with Bland's rule on a
 fraction-free integer tableau; infeasibility yields a separating
 functional.
@@ -89,7 +93,14 @@ class HCone:
     """System of homogeneous `coeffs . x >= 0` rows with labels.
 
     `coords` optionally names the coordinates (count tuples for reduced
-    cones, subset masks for the full cone).
+    cones, subset masks for the full cone).  A row tuple of ints that
+    normalizing leaves unchanged is kept as given, so cones built from
+    another cone's rows share them.  The rows are evaluated through a
+    kernel built on first use: when no row has more than four nonzero
+    terms, each row is one flat `(i, a, j, b, k, c, l, e)` int tuple,
+    padded with zero terms at index 0, and its value at x is
+    `a*x[i] + b*x[j] + c*x[k] + e*x[l]`; otherwise every row is
+    summed over its `(index, coeff)` pairs.
     """
 
     dim: int
@@ -106,6 +117,8 @@ class HCone:
             if not any(ints):
                 raise ValueError("zero row")
             ints = _content_normalize(ints)
+            if ints == coeffs and all(type(x) is int for x in coeffs):
+                ints = coeffs
             if ints in seen:
                 raise ValueError(f"duplicate row {ints}")
             seen.add(ints)
@@ -121,6 +134,18 @@ class HCone:
             for coeffs, _ in self.rows
         )
 
+    @cached_property
+    def _kernel(self) -> Optional[tuple]:
+        """The flat four-term row tuples, or None if a row is longer;
+        built from the rows, so a kernel cone never builds `_sparse`."""
+        flat = []
+        for coeffs, _ in self.rows:
+            terms = [t for i, c in enumerate(coeffs) if c for t in (i, c)]
+            if len(terms) > 8:
+                return None
+            flat.append(tuple(terms) + (0,) * (8 - len(terms)))
+        return tuple(flat)
+
     def _scaled(self, v: Sequence) -> tuple:
         ints, m = _clear_denominators(v)
         if len(ints) != self.dim:
@@ -131,19 +156,25 @@ class HCone:
         """Value of each row at v: ints when every entry of v is an
         int, Fractions otherwise."""
         vals = list(v)
-        ints, m = self._scaled(vals)
-        sums = [sum(c * ints[i] for i, c in sparse) for sparse in self._sparse]
-        if all(isinstance(x, int) for x in vals):
+        x, m = self._scaled(vals)
+        kernel = self._kernel
+        if kernel is None:
+            sums = [sum(c * x[i] for i, c in sparse) for sparse in self._sparse]
+        else:
+            sums = [a * x[i] + b * x[j] + c * x[k] + e * x[l]
+                    for i, a, j, b, k, c, l, e in kernel]
+        if all(isinstance(y, int) for y in vals):
             return sums
         return [Fraction(s, m) for s in sums]
 
     def contains(self, v: Sequence) -> bool:
-        ints, _ = self._scaled(v)
-        for sparse in self._sparse:
-            total = 0
-            for i, c in sparse:
-                total += c * ints[i]
-            if total < 0:
+        x, _ = self._scaled(v)
+        kernel = self._kernel
+        if kernel is None:
+            return all(sum(c * x[i] for i, c in sparse) >= 0
+                       for sparse in self._sparse)
+        for i, a, j, b, k, c, l, e in kernel:
+            if a * x[i] + b * x[j] + c * x[k] + e * x[l] < 0:
                 return False
         return True
 
@@ -339,12 +370,16 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     basis_mask = sum(1 << i for i in basis_idx)
     tight = [basis_mask ^ (1 << i) for i in basis_idx]
     processed = list(basis_idx)
-    sparse = c._sparse
+    kernel = c._kernel
 
     for row in range(len(all_rows)):
         if basis_mask >> row & 1:
             continue
-        vals = [sum(a * r[k] for k, a in sparse[row]) for r in rays]
+        if kernel is None:
+            vals = [sum(a * r[k] for k, a in c._sparse[row]) for r in rays]
+        else:
+            i, a, j, b, k, e, l, f = kernel[row]
+            vals = [a * r[i] + b * r[j] + e * r[k] + f * r[l] for r in rays]
         bit = 1 << row
         pos = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]

@@ -93,13 +93,11 @@ def free_expansion(h: SetFunction, phi: ExpansionMap) -> SetFunction:
     for i in range(1, h.n + 1):
         if phi.images[i - 1].bit_count() != h(h.ground.singleton(i)):
             raise ValueError(f"image size of element {i} differs from h(.)")
-    images_of = [phi.of_mask(b) for b in h.ground.subsets()]
+    # integer-valued, so the scaled values are the values themselves
+    pairs = [(v, ~phi.of_mask(b)) for b, v in enumerate(h._scaled[0])]
 
-    def rank(a: int) -> Fraction:
-        return min(
-            h.values[b] + (a & ~images_of[b]).bit_count()
-            for b in h.ground.subsets()
-        )
+    def rank(a: int) -> int:
+        return min(v + (a & outside).bit_count() for v, outside in pairs)
 
     return SetFunction.from_callable(phi.target, rank)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -127,8 +127,9 @@ class SetFunction:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
-                     for v in self.values)
+        vals = self.values
+        if not (type(vals) is tuple and all(map(isinstance, vals, repeat(Fraction)))):
+            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
         if len(vals) != 1 << self.ground.n:
             raise ValueError(
                 f"expected {1 << self.ground.n} values, got {len(vals)}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import comb, prod
 from typing import Optional
 
@@ -95,8 +96,9 @@ class SymVector:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v)
-                     for v in self.values)
+        vals = self.values
+        if not (type(vals) is tuple and all(map(isinstance, vals, repeat(Fraction)))):
+            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
         if len(vals) != len(self.partition.count_tuples):
             raise ValueError("wrong number of reduced coordinates")
         if vals[0] != 0:

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -268,6 +269,26 @@ def random_pointed_rows(dim, rng):
             return rows
 
 
+def seeded_cone(dim, max_terms, seed):
+    """A pointed cone with rows of every length from 1 to `max_terms`
+    nonzero terms: the unit rows, then two seeded rows per longer
+    length, each oriented to keep a random positive point inside."""
+    rng = random.Random(seed)
+    inside = [rng.randint(1, 3) for _ in range(dim)]
+    rows = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    for terms in range(2, max_terms + 1):
+        while sum(1 for row in rows if dim - row.count(0) == terms) < 2:
+            row = [0] * dim
+            for j in rng.sample(range(dim), terms):
+                row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+            if sum(a * b for a, b in zip(row, inside)) < 0:
+                row = [-a for a in row]
+            row = tuple(x // gcd(*row) for x in row)
+            if row not in rows:
+                rows.append(row)
+    return HCone(dim, tuple((row, i) for i, row in enumerate(rows)))
+
+
 def zero_rows(cone, direction) -> int:
     """Bitmask of the rows of `cone` that vanish at `direction`, in Fractions."""
     rows = [coeffs for coeffs, _ in cone.rows]
@@ -361,7 +382,8 @@ class TestContains:
     def cones():
         return [psi_p_hrep(canonical_partition(parts))
                 for parts in ((1, 2), (2, 2), (1, 1, 2), (1, 4), (3,))] + [
-            gamma_n_hrep(GroundSet(3)), gamma_n_hrep(GroundSet(4))]
+            gamma_n_hrep(GroundSet(3)), gamma_n_hrep(GroundSet(4)),
+            seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)]
 
     def test_random_vectors_match_fraction_reference(self, rng):
         """Mixed denominators and negative entries, and int-only vectors."""
@@ -389,6 +411,41 @@ class TestContains:
                 j = rng.randrange(cone.dim)
                 v[j] -= Fraction(1, rng.randint(2, 9))
                 self.assert_matches_reference(cone, v)
+
+
+class TestRowKernel:
+    """Rows of at most four nonzero terms take the flat kernel; a cone
+    with a longer row takes the sparse loop.  `TestContains` checks both
+    paths against the Fraction reference."""
+
+    def test_seeded_cones_take_both_paths(self):
+        short, long = seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)
+        assert short.contains((0,) * 6) and long.contains((0,) * 6)
+        assert short._kernel is not None and "_sparse" not in vars(short)
+        assert long._kernel is None
+
+    def test_built_cones_take_the_kernel_path(self):
+        for n in range(1, 7):
+            assert gamma_n_hrep(GroundSet(n))._kernel is not None
+            for p in canonical_representatives(n):
+                assert psi_p_hrep(p)._kernel is not None
+
+    def test_seeded_cones_match_brute_force_rays(self):
+        for cone in (seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)):
+            rows = [coeffs for coeffs, _ in cone.rows]
+            rays = extreme_rays(cone)
+            assert len(rays) > 6
+            assert {r.direction for r in rays} == brute_force_rays(rows, cone.dim)
+            for r in rays:
+                assert r.tight == zero_rows(cone, r.direction)
+
+    def test_unchanged_int_rows_are_kept_as_given(self):
+        kept, scaled = (1, -2), (2, 2)
+        cone = HCone(2, ((kept, "k"), (scaled, "s"),
+                         ((Fraction(0), Fraction(1)), "f"), ([1, 0], "l")))
+        assert cone.rows[0][0] is kept
+        assert [coeffs for coeffs, _ in cone.rows[1:]] == [(1, 1), (0, 1), (1, 0)]
+        assert all(type(x) is int for coeffs, _ in cone.rows for x in coeffs)
 
 
 class TestConicDecompose:
@@ -518,6 +575,22 @@ class TestConicDecompose:
                 if isinstance(node, ast.ImportFrom) and node.level == 1
             }
         assert found == layers
+
+    def test_import_builds_no_tables(self):
+        # every table is built on first use, so a fresh import stays cheap
+        script = (
+            "import symcone\n"
+            "from symcone import cone, partitions, setfn, symmetry, verify\n"
+            "print(*(f.cache_info().currsize for f in (\n"
+            "    cone.psi_p_hrep, cone.gamma_n_hrep, setfn.elemental_rows,\n"
+            "    partitions._count_index, symmetry._orbit_labels,\n"
+            "    verify._context_families, verify._family_vectors,\n"
+            "    partitions.integer_partitions)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env=env).stdout.split()
+        assert out == ["0"] * 8
 
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""

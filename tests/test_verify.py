@@ -443,6 +443,20 @@ class TestIsolations:
                         assert list(families[key].rows) == family
                     assert sum(len(f.rows) for f in families.values()) == len(rows)
 
+    def test_context_families_share_the_cone_rows(self):
+        # each family row holds the cone's own coefficient tuple, not a copy
+        for n in range(2, 6):
+            reps = canonical_representatives(n)
+            for p in reps:
+                parent = {label: coeffs for coeffs, label in psi_p_hrep(p).rows}
+                for ctx in reps:
+                    if not covers(ctx, p):
+                        continue
+                    _, families = verify_module._context_families(p, ctx)
+                    for family in families.values():
+                        for coeffs, label in family.rows:
+                            assert coeffs is parent[label]
+
     def test_context_families_built_once_per_pair(self):
         verify_module._context_families.cache_clear()
         for _ in range(2):
