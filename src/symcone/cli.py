@@ -3,14 +3,17 @@
 Subcommands: facets, orbits, project, rays, check, decompose, verify,
 family.  Output is deterministic for identical invocations; rationals
 print as p/q in lowest terms.  Exit codes: 0 success, 1 failed
-check/verdict, 2 usage error.
+check/verdict, 2 usage error, 141 (128 + SIGPIPE) when stdout is
+closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 from .cone import DEFAULT_MAX_DIM, extreme_rays, psi_p_hrep
 from .families import build_family, family_Un_tags
@@ -46,7 +49,9 @@ def _parse_partition(args, ground=None) -> Partition:
 def _emit(payload, fmt: str, text_renderer):
     """Print `payload` as indented json with sorted keys, or hand it to
     `text_renderer`.  The payload must already be JSON-native: str
-    keys, and rationals as strings."""
+    keys, and rationals as strings.  It serves the small outputs of the
+    subcommands; `rays`, whose output runs to thousands of lines, and
+    `family`, whose json is one unindented array, write their own."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -112,29 +117,44 @@ def cmd_rays(args) -> int:
     """Each extreme ray with the labels of its tight rows, in row order.
 
     The tight rows are read from the bitmask `Ray.tight` that the
-    enumeration computed, and each row label is rendered once."""
+    enumeration computed, and each row label is rendered (and, for
+    json, quoted) once.  Both formats are written straight from the
+    rays, with no payload, one write per ray: a pipe closed by the
+    reader then fails the next write even when a partial write went
+    unreported.  The json text is laid out exactly as
+    `json.dumps(payload, indent=2, sort_keys=True)` lays out the list
+    of `{"direction": [...], "tight": [...]}` objects."""
     p = _parse_partition(args)
     cone = psi_p_hrep(p)
     rays = extreme_rays(cone, max_dim=args.max_dim)
     names = [str(label) for _, label in cone.rows]
-    payload = [
-        {
-            "direction": list(r.direction),
-            "tight": [name for i, name in enumerate(names) if r.tight >> i & 1],
-        }
-        for r in rays
-    ]
+    bits = [1 << i for i in range(len(names))]
+    write = sys.stdout.write
+    if args.format == "text":
+        for r in rays:
+            write(" ".join(map(str, r.direction)) + "  |  "
+                  + " ".join(nm for nm, bit in zip(names, bits) if r.tight & bit)
+                  + "\n")
+        write(f"total {len(rays)}\n")
+        return 0
 
-    def render(rows):
-        for row in rows:
-            print(
-                " ".join(str(x) for x in row["direction"])
-                + "  |  "
-                + " ".join(row["tight"])
-            )
-        print(f"total {len(rows)}")
+    quoted = [json.dumps(name) for name in names]
 
-    _emit(payload, args.format, render)
+    def items(values):
+        # a list of JSON values two levels deep, as `json.dumps(...,
+        # indent=2)` writes it
+        if not values:
+            return "[]"
+        return "[\n      " + ",\n      ".join(values) + "\n    ]"
+
+    sep = "[\n"
+    for r in rays:
+        write(sep + '  {\n    "direction": ' + items(list(map(str, r.direction)))
+              + ',\n    "tight": '
+              + items([q for q, bit in zip(quoted, bits) if r.tight & bit])
+              + "\n  }")
+        sep = ",\n"
+    write("\n]\n" if rays else "[]\n")
     return 0
 
 
@@ -325,12 +345,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # stdout was closed: send what is still buffered to devnull, so
+        # that the flush at interpreter shutdown reports nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,10 +48,26 @@ class NotPointedError(ValueError):
 
 
 def _content_normalize(vec: Sequence[int]) -> tuple:
+    """`vec` divided by the gcd of its entries, as a tuple.  Most
+    vectors met in elimination and double description already have
+    content 1, and those are returned without a division."""
     g = gcd(*vec)
+    if g == 1:
+        return tuple(vec)
     if g == 0:
         raise ValueError("zero vector has no direction")
     return tuple(x // g for x in vec)
+
+
+def _integer_entry(x) -> int:
+    """`x` as an int, if it is integral by `as_integer_ratio()`."""
+    try:
+        num, den = x.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        den = None
+    if den != 1:
+        raise ValueError(f"ray direction entry {x!r} is not an integer")
+    return num
 
 
 @dataclass(frozen=True)
@@ -61,15 +77,19 @@ class Ray:
     `tight`, when set, is the bitmask of the rows of the cone the ray
     came from on which it is zero: bit i stands for `rows[i]`.
     `extreme_rays` sets it; `normalize_ray` leaves it None.  Equality
-    and hashing use `direction` only.
+    and hashing use `direction` only.  A tuple of ints is kept as
+    given; any other entry must be integral by `as_integer_ratio()`
+    and is stored as an int, so `Ray((1.5, 2))` raises ValueError.
     """
 
     direction: tuple
     tight: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        d = tuple(int(x) for x in self.direction)
-        object.__setattr__(self, "direction", d)
+        d = self.direction
+        if type(d) is not tuple or set(map(type, d)) != {int}:
+            d = tuple(map(_integer_entry, d))
+            object.__setattr__(self, "direction", d)
         if gcd(*d) != 1:
             raise ValueError("ray direction must be a primitive integer vector")
 

@@ -1,14 +1,30 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from symcone import GroundSet, SetFunction, family_Un, gap_witness, u1_loop, uniform
+from symcone import (
+    GroundSet,
+    SetFunction,
+    canonical_representatives,
+    extreme_rays,
+    family_Un,
+    gap_witness,
+    psi_p_hrep,
+    u1_loop,
+    uniform,
+)
 from symcone.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,6 +86,55 @@ class TestRays:
             out = capsys.readouterr().out
             assert len(json.loads(out)) == want["rays"], key
             assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], key
+
+    def test_writer_matches_reference_up_to_dim_15(self, capsys):
+        # `rays` writes its output straight from the rays; the reference
+        # is the payload it stands for, through `json.dumps` and the
+        # per-row text rendering
+        shapes = 0
+        for n in range(1, 10):
+            for p in canonical_representatives(n):
+                if prod(s + 1 for s in p.block_sizes) - 1 > 15:
+                    continue
+                shapes += 1
+                cone = psi_p_hrep(p)
+                names = [str(label) for _, label in cone.rows]
+                payload = [
+                    {"direction": list(r.direction),
+                     "tight": [nm for i, nm in enumerate(names) if r.tight >> i & 1]}
+                    for r in extreme_rays(cone)
+                ]
+                text = "".join(
+                    " ".join(str(x) for x in row["direction"]) + "  |  "
+                    + " ".join(row["tight"]) + "\n"
+                    for row in payload
+                ) + f"total {len(payload)}\n"
+                argv = ["rays", "--n", str(n), "--partition", str(p)]
+                assert main(argv + ["--format", "json"]) == 0
+                assert capsys.readouterr().out == (
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n"), str(p)
+                assert main(argv + ["--format", "text"]) == 0
+                assert capsys.readouterr().out == text, str(p)
+        assert shapes == 24
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141(self, unbuffered):
+        # the output (126,470 bytes) is larger than a pipe buffer, so
+        # the writer meets the closed pipe whenever the reader stops
+        argv = ["rays", "--n", "6", "--partition", "1,2,3|4,5,6", "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "symcone.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_max_dim_cap(self, capsys):
         args = ["rays", "--n", "5", "--partition", "1,2|3,4,5", "--max-dim", "5"]
@@ -328,6 +393,24 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "7", "--n-max", "2"])
         assert exc.value.code == 2
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        # `main` keeps one parser; after a usage error it still parses
+        # as a fresh parser does
+        assert build_parser() is not build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["rays", "--n", "3", "--format", "csv"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (["rays", "--n", "4", "--partition", "1|2,3,4"],
+                     ["verify", "--n-max", "2", "--format", "text"]):
+            assert main(argv) == 0
+            reused = capsys.readouterr().out
+            args = build_parser().parse_args(argv)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert args.fn(args) == 0
+            assert reused == buf.getvalue()
 
     def test_readme_command_block_parses(self):
         text = README.read_text(encoding="utf-8")

@@ -335,6 +335,19 @@ class TestRayTight:
                     assert r.tight == zero_rows(cone, r.direction), (str(p), r)
         assert shapes == 24
 
+    @pytest.mark.parametrize("entry", [1.5, Fraction(1, 2), "3"],
+                             ids=["float", "half", "str"])
+    def test_non_integer_direction_rejected(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            Ray((entry, 1))
+
+    def test_integral_entries_become_ints(self):
+        ray = Ray((Fraction(3, 1), 2.0, True))
+        assert ray.direction == (3, 2, 1)
+        assert all(type(x) is int for x in ray.direction)
+        with pytest.raises(ValueError, match="primitive"):
+            Ray((Fraction(4, 1), 2))
+
     def test_equality_and_hash_ignore_tight(self):
         assert Ray((1, 2)) == Ray((1, 2), 0b101)
         assert hash(Ray((1, 2))) == hash(Ray((1, 2), 0b101))
@@ -580,17 +593,17 @@ class TestConicDecompose:
         # every table is built on first use, so a fresh import stays cheap
         script = (
             "import symcone\n"
-            "from symcone import cone, partitions, setfn, symmetry, verify\n"
+            "from symcone import cli, cone, partitions, setfn, symmetry, verify\n"
             "print(*(f.cache_info().currsize for f in (\n"
             "    cone.psi_p_hrep, cone.gamma_n_hrep, setfn.elemental_rows,\n"
             "    partitions._count_index, symmetry._orbit_labels,\n"
             "    verify._context_families, verify._family_vectors,\n"
-            "    partitions.integer_partitions)))\n"
+            "    partitions.integer_partitions, cli._parser)))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env=env).stdout.split()
-        assert out == ["0"] * 8
+        assert out == ["0"] * 9
 
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""
