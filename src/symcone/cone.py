@@ -8,8 +8,12 @@ a simplicial subcone, then the remaining rows are inserted one at a
 time, in the order the cone lists them, combining adjacent
 positive/negative ray pairs.  Tight sets are int bitmasks and
 adjacency is combinatorial: no third ray is tight on all the rows the
-pair shares.  Membership tests scale each input to integers once, in
-one `as_integer_ratio()` pass, and take integer dot products.  Every
+pair shares.  The adjacency test reads an incidence table, one
+bitmask of tight rays per row, rebuilt for each inserted row by one
+transpose of the tight masks: each is written as a fixed-width binary
+string, `zip` takes the columns and `int(..., 2)` reads each back.
+Membership tests scale each input to integers once, in one
+`as_integer_ratio()` pass, and take integer dot products.  Every
 row of the cones built here has at most four nonzero terms, so each
 cone evaluates its rows through one fixed-arity row kernel: membership,
 row values and the values of an inserted row over the current rays
@@ -353,6 +357,22 @@ def _inverse_columns(square: Sequence[Sequence[int]]) -> list:
     return columns
 
 
+def _incidence(tight: Sequence[int], width: int) -> list:
+    """The transpose of the tight masks: entry i is the bitmask over
+    ray indices k with bit i set in `tight[k]`, for i < `width`.
+
+    Each mask is written as a `width`-digit binary string, rays in
+    reverse order; `zip` takes the columns, and `int(col, 2)` reads
+    each one back so that ray k lands on bit k.  The last column is
+    row 0, so the columns are read in reverse.
+    """
+    if not tight:
+        return [0] * width
+    fmt = f"0{width}b"
+    columns = zip(*[format(t, fmt) for t in reversed(tight)])
+    return [int("".join(col), 2) for col in columns][::-1]
+
+
 def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     """All extreme rays of a pointed cone, lexicographically sorted.
 
@@ -364,7 +384,10 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     set over the inserted rows as an int bitmask.  A positive/negative
     pair is adjacent iff its common tight set has at least `dim - 2`
     rows and no third ray is tight on all of them (Fukuda & Prodon,
-    1996), so no rank is computed inside the loop.  Once every row is
+    1996), so no rank is computed inside the loop.  Before each row
+    is inserted, `_incidence` transposes the tight masks into one
+    bitmask of tight rays per row, and the test ANDs those of the rows
+    the pair shares until only the pair is left.  Once every row is
     inserted, that bitmask covers all of `c.rows`, and each returned
     `Ray` carries it as `tight`.
     """
@@ -406,12 +429,8 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
         neg = [k for k, v in enumerate(vals) if v < 0]
         new_rays, new_tight = [], []
         if neg:
-            # incidence[i]: bitmask over current rays tight on row i
-            incidence = dict.fromkeys(processed, 0)
-            for k, mask in enumerate(tight):
-                for i in processed:
-                    if mask >> i & 1:
-                        incidence[i] |= 1 << k
+            incidence = _incidence(tight, len(all_rows))
+            checks = [(1 << i, incidence[i]) for i in processed]
             everyone = (1 << len(rays)) - 1
             for kp in pos:
                 rp, vp, tp = rays[kp], vals[kp], tight[kp]
@@ -421,9 +440,9 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
                         continue
                     pair = (1 << kp) | (1 << kn)
                     rest = everyone
-                    for i in processed:
-                        if common >> i & 1:
-                            rest &= incidence[i]
+                    for row_bit, tight_rays in checks:
+                        if common & row_bit:
+                            rest &= tight_rays
                             if rest == pair:
                                 break
                     if rest != pair:
@@ -564,14 +583,28 @@ def facet_reduction_check(p: Partition) -> bool:
     repeated row direction.  The check is exact: at a p-symmetric h each
     elemental row equals `reduced_facet_row(fid, p) . to_sym(h, p)`,
     so it proves that Gamma_n meets the p-symmetric subspace in Psi_p.
+
+    Every elemental facet is walked, keyed by the `p.count_index`
+    positions of its masks a, b, c, d, I and K, and only the first
+    facet of each key is labelled and reduced.  That loses nothing: a
+    facet's reduced row is the +/- sum at the positions of a, b, c and
+    d, and its label is the count tuples of I and K, so every facet of
+    a key has the same row and the same label as the first.
     """
     reduced = psi_p_hrep(p)
     by_label = {label: coeffs for coeffs, label in reduced.rows}
     if len(by_label) != len(reduced.rows):
         return False
 
+    position, _ = p.count_index
+    seen_keys = set()
     seen_labels = set()
-    for fid in elemental_rows(p.ground):
+    for fid, (a, b, c, d) in elemental_rows(p.ground).items():
+        key = (position[a], position[b], position[c], position[d],
+               position[fid.I], position[fid.K])
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
         label = facet_orbit_label(fid, p)
         if label not in by_label:
             return False

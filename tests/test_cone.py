@@ -34,6 +34,7 @@ from symcone import (
     u1_loop,
     uniform,
 )
+from symcone.cone import _incidence
 from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import FacetId, elemental_rows
 from symcone.symmetry import facet_orbit_label
@@ -354,6 +355,25 @@ class TestRayTight:
         assert len({Ray((1, 2), 1), Ray((1, 2), 2)}) == 1
 
 
+class TestIncidence:
+    @pytest.mark.parametrize("count,width", [
+        (0, 6), (1, 9), (130, 11), (7, 150), (100, 100),
+    ], ids=["no_rays", "one_ray", "many_rays", "many_rows", "many_both"])
+    def test_transpose_matches_bit_definition(self, rng, count, width):
+        for _ in range(10):
+            tight = [rng.getrandbits(width) for _ in range(count)]
+            got = _incidence(tight, width)
+            assert len(got) == width
+            for i, rays in enumerate(got):
+                assert rays == sum(1 << k for k, t in enumerate(tight) if t >> i & 1)
+
+    def test_full_and_empty_masks(self):
+        width = 70
+        full = (1 << width) - 1
+        assert _incidence([full, 0, full], width) == [0b101] * width
+        assert _incidence([0] * 65, width) == [0] * width
+
+
 class TestFrontierShapes:
     @pytest.mark.parametrize("parts,count", [
         ((1, 2, 2), 378), ((2, 5), 320), ((1, 1, 4), 416), ((3, 4), 1546),
@@ -366,6 +386,11 @@ class TestFrontierShapes:
         if count < 1000:
             rows = [coeffs for coeffs, _ in cone.rows]
             assert all(is_certified_ray(rows, r.direction) for r in rays)
+        # up to 54 rows and 3,712 rays: the double-description
+        # incidence ints here are far wider than a machine word
+        for r in rays:
+            values = cone.row_values(r.direction)
+            assert r.tight == sum(1 << i for i, v in enumerate(values) if v == 0)
 
 
 class TestContains:
