@@ -12,7 +12,6 @@ from .setfn import (
     DENSE_GROUND_CAP,
     FacetId,
     GroundSet,
-    LinearForm,
     SetFunction,
     UnsupportedSizeError,
     elemental_count,
@@ -21,6 +20,7 @@ from .setfn import (
     is_polymatroid,
     mask_of,
     elements_of,
+    form_value,
     mutual_info,
     polymatroid_violation,
     zhang_yeung_form,
@@ -47,6 +47,7 @@ from .symmetry import (
     orbit_count_formula,
     orbit_labels,
     orbit_sizes,
+    reduce_form,
     symmetrize,
     to_sym,
 )

@@ -21,6 +21,7 @@ from .partitions import Partition, canonical_partition
 from .setfn import (
     GroundSet,
     SetFunction,
+    form_value,
     is_matroid,
     polymatroid_violation,
     set_text,
@@ -199,7 +200,7 @@ def cmd_check(args) -> int:
             roles = tuple(int(x) for x in args.roles.split(","))
         except ValueError:
             raise ValueError(f"--roles takes integers, got {args.roles!r}") from None
-        value = zhang_yeung_form(h.ground, roles).evaluate(h)
+        value = form_value(zhang_yeung_form(h.ground, roles), h)
         results["zy"] = {"pass": value >= 0, "value": str(value), "roles": list(roles)}
         failed = failed or value < 0
 

@@ -1,12 +1,13 @@
 """Homogeneous inequality cones, extreme-ray enumeration, and exact
 conic decomposition.
 
-All coefficient arithmetic is integer or rational.  The extreme-ray
-enumerator is an incremental double description over Python ints: one
-fraction-free elimination picks independent rows and inverts them into
-a simplicial subcone, then the remaining rows are inserted one at a
-time, in the order the cone lists them, combining adjacent
-positive/negative ray pairs.  Tight sets are int bitmasks and
+All coefficient arithmetic is integer or rational.  Elemental rows go
+through `symmetry.reduce_form`; orbit rows are a closed form.  The
+extreme-ray enumerator is an incremental double description over
+Python ints: one fraction-free elimination picks independent rows and
+inverts them into a simplicial subcone, then the remaining rows are
+inserted one at a time, in the order the cone lists them, combining
+adjacent positive/negative ray pairs.  Tight sets are int bitmasks and
 adjacency is combinatorial: no third ray is tight on all the rows the
 pair shares.  The adjacency test reads an incidence table, one
 bitmask of tight rays per row, rebuilt for each inserted row by one
@@ -38,7 +39,7 @@ from .setfn import (
     _clear_denominators,
     elemental_rows,
 )
-from .symmetry import facet_orbit_label, orbit_labels
+from .symmetry import facet_orbit_label, orbit_labels, reduce_form
 
 DEFAULT_MAX_DIM = 20
 
@@ -269,34 +270,27 @@ def psi_p_hrep(p: Partition) -> HCone:
 def gamma_n_hrep(ground: GroundSet) -> HCone:
     """Full elemental system over the 2**n - 1 nonempty-subset coordinates.
 
-    One row per entry of `elemental_rows`, in its order: +1 at the
-    coordinates of a and b, -1 at those of c and d, the empty set
-    dropped.  Built once per ground set: equal ground sets share one
-    immutable cone for the life of the process."""
+    One row per entry of `elemental_rows`, in its order: `reduce_form`
+    of +1 at a, b and -1 at c, d by the identity index.  Built once per
+    ground set: equal ground sets share one immutable cone for the life
+    of the process."""
     dim = ground.full_mask
-    rows = []
-    for fid, terms in elemental_rows(ground).items():
-        coeffs = [0] * dim
-        for mask, c in zip(terms, (1, 1, -1, -1)):
-            if mask:
-                coeffs[mask - 1] = c
-        rows.append((tuple(coeffs), fid))
-    return HCone(dim, tuple(rows), coords=tuple(range(1, dim + 1)))
+    identity = (ground.subsets(), ground.subsets())
+    rows = tuple(
+        (reduce_form(zip(masks, (1, 1, -1, -1)), identity), fid)
+        for fid, masks in elemental_rows(ground).items()
+    )
+    return HCone(dim, rows, coords=tuple(range(1, dim + 1)))
 
 
 def reduced_facet_row(fid, p: Partition) -> tuple:
-    """The `elemental_rows` entry of a facet summed per count tuple,
-    origin dropped: the per-facet reference for the closed-form rows of
+    """`reduce_form` of a facet's `elemental_rows` entry by
+    `p.count_index`: the per-facet reference for the closed-form rows of
     `psi_p_hrep`.  ValueError if `fid` names no row."""
-    terms = elemental_rows(p.ground).get(fid)
-    if terms is None:
+    masks = elemental_rows(p.ground).get(fid)
+    if masks is None:
         raise ValueError("facet id out of range for ground set")
-    position, _ = p.count_index
-    coeffs = [0] * (len(p.count_tuples) - 1)
-    for mask, sign in zip(terms, (1, 1, -1, -1)):
-        if position[mask]:
-            coeffs[position[mask] - 1] += sign
-    return tuple(coeffs)
+    return reduce_form(zip(masks, (1, 1, -1, -1)), p.count_index)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything in this module is exact: values are `fractions.Fraction`,
 subsets are plain ints with bit i-1 encoding element i, and inequality
 tests scale the values to integers once (by the lcm of their
 denominators) and compare integer sums.  Floats are never used because
-the cone machinery downstream needs exact zero detection.
+the cone machinery downstream needs exact zero detection.  A linear
+form is a plain `{mask: coeff}` dict.
 """
 
 from __future__ import annotations
@@ -209,30 +210,16 @@ class SetFunction:
         return [str(v) for v in self.values]
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Sparse homogeneous linear form over set-function coordinates.
-
-    The coefficient of the empty set is dropped (it never matters on the
-    space of functions vanishing on the empty set).
-    """
-
-    ground: GroundSet
-    coeffs: tuple  # sorted ((mask, Fraction), ...), no empty-set entry
-
-    def __post_init__(self) -> None:
-        norm = tuple(
-            sorted((m, Fraction(c)) for m, c in self.coeffs if m != 0 and c != 0)
-        )
-        for m, _ in norm:
-            if m > self.ground.full_mask:
-                raise ValueError("coefficient mask out of range")
-        object.__setattr__(self, "coeffs", norm)
-
-    def evaluate(self, f: SetFunction) -> Fraction:
-        if f.ground != self.ground:
-            raise ValueError("ground sets differ")
-        return sum((c * f.values[m] for m, c in self.coeffs), Fraction(0))
+def form_value(form: dict, f: SetFunction) -> Fraction:
+    """Value at `f` of the linear form `{mask: coeff}`.  ValueError
+    names a mask outside the ground set of `f`."""
+    vals = f.values
+    total = Fraction(0)
+    for mask, coeff in form.items():
+        if not 0 <= mask < len(vals):
+            raise ValueError(f"mask {mask} outside 0..{len(vals) - 1}")
+        total += coeff * vals[mask]
+    return total
 
 
 @dataclass(frozen=True, order=True)
@@ -348,8 +335,9 @@ def _add_mutual_info(coeffs: dict, i_mask: int, j_mask: int, k_mask: int, weight
         coeffs[m] = coeffs.get(m, 0) + w
 
 
-def zhang_yeung_form(ground: GroundSet, roles: tuple[int, int, int, int] = (1, 2, 3, 4)) -> LinearForm:
-    """Four-variable non-Shannon inequality as a linear form (">=0").
+def zhang_yeung_form(ground: GroundSet, roles: tuple[int, int, int, int] = (1, 2, 3, 4)) -> dict:
+    """Four-variable non-Shannon inequality as a `{mask: int}` form
+    (">=0"): keys ascending, no empty mask and no zero coefficient.
 
     With roles (a, b, c, d) the form is
         I(a;b) + I(a;cd) + 3 I(c;d|a) + I(c;d|b) - 2 I(c;d).
@@ -366,4 +354,4 @@ def zhang_yeung_form(ground: GroundSet, roles: tuple[int, int, int, int] = (1, 2
     _add_mutual_info(coeffs, c, d, a, 3)
     _add_mutual_info(coeffs, c, d, b, 1)
     _add_mutual_info(coeffs, c, d, 0, -2)
-    return LinearForm(ground, tuple(coeffs.items()))
+    return {m: w for m, w in sorted(coeffs.items()) if m and w}

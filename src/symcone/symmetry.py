@@ -5,6 +5,8 @@ A partition p of the ground set induces the group of permutations that
 keep each block inside itself.  Functions constant on subsets with
 equal per-block counts form the symmetric subspace; they compress into
 a vector indexed by count tuples (k_1, ..., k_t), 0 <= k_i <= n_i.
+`reduce_form` sums a full-space linear form per orbit: by averaging, the
+form holds on symmetric polymatroids iff its reduced row holds on Psi_p.
 """
 
 from __future__ import annotations
@@ -61,25 +63,37 @@ def _symmetry_violation(h: SetFunction, p: Partition) -> Optional[tuple]:
     return None
 
 
+def reduce_form(terms, index) -> tuple:
+    """The reduced row of the form `terms`, `(mask, coeff)` pairs whose
+    repeated masks add up: the coefficients summed per `position[mask]`
+    of `index = (position, smallest)`, shaped like `Partition.count_index`,
+    with position 0 (the empty set) dropped.  ValueError names a mask
+    outside `0 <= mask < len(position)`."""
+    position, smallest = index
+    size = len(position)
+    sums = [0] * len(smallest)
+    for mask, coeff in terms:
+        if not 0 <= mask < size:
+            raise ValueError(f"mask {mask} outside 0..{size - 1}")
+        sums[position[mask]] += coeff
+    return tuple(sums[1:])
+
+
 def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
     """Orbit average of h under the block-permutation group of p.
 
     Computed by the closed form: the value on a count tuple k is the
     mean of h over all subsets with count tuple k, the orbit size being
-    a product of binomials.  One pass sums the integer-scaled values of
-    h (`h._scaled`, common denominator m) per count tuple through
-    `Partition.count_index`; each mean is then one
-    `Fraction(total, m * orbit_size)`, and `from_sym` spreads the means
-    over the subsets.  Equals the |group|-term average but costs
-    O(2**n) instead of O(prod n_i!).
+    a product of binomials.  `reduce_form` sums the integer-scaled
+    values of h (`h._scaled`, common denominator m) per count tuple;
+    each mean is then one `Fraction(total, m * orbit_size)`, and
+    `from_sym` spreads the means over the subsets.  Equals the
+    |group|-term average but costs O(2**n) instead of O(prod n_i!).
     """
     if h.ground != p.ground:
         raise ValueError("ground sets differ")
-    position, _ = p.count_index
     vals, m = h._scaled
-    sums = [0] * len(p.count_tuples)
-    for a, r in enumerate(position):
-        sums[r] += vals[a]
+    sums = (0,) + reduce_form(enumerate(vals), p.count_index)
     sizes = p.block_sizes
     return from_sym(SymVector(p, tuple(
         Fraction(total, m * prod(comb(s, k) for s, k in zip(sizes, tup)))

@@ -35,6 +35,7 @@ from .setfn import (
     SetFunction,
     _clear_denominators,
     elements_of,
+    form_value,
     polymatroid_violation,
     zhang_yeung_form,
 )
@@ -238,7 +239,7 @@ def verify_gap(p: Partition) -> Verdict:
         if not psi_p_hrep(p).contains(vec):
             return False, {"membership": [str(x) for x in vec]}
         first, second = (elements_of(b)[:2] for b in coarse.blocks)
-        value = zhang_yeung_form(p.ground, first + second).evaluate(witness)
+        value = form_value(zhang_yeung_form(p.ground, first + second), witness)
         if value != -1:
             return False, {"zy_value": str(value)}
         return True, None

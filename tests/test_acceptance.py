@@ -27,6 +27,7 @@ from symcone import (
     factor,
     family_Un,
     family_Un_tags,
+    form_value,
     free_expansion,
     gamma_n_hrep,
     gap_witness,
@@ -150,7 +151,7 @@ def test_criterion_6_gap_witnesses():
             verdict = verify_gap(p)
             assert verdict.passed, verdict.counterexample
         restricted = restrict(gap_witness(3, 3), mask_of([1, 2, 4, 5]))
-        assert zhang_yeung_form(GroundSet(4)).evaluate(restricted) == -1
+        assert form_value(zhang_yeung_form(GroundSet(4)), restricted) == -1
 
     _criterion("criterion-6 gap witnesses", 5.0, body)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -424,3 +425,22 @@ class TestParserSurface:
         parser = build_parser()
         for argv in argvs:
             parser.parse_args(argv)
+
+    def test_readme_library_tour_runs(self):
+        # every line of the tour runs, and each value its comment promises holds
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Library tour", 1)[1].split("```")[1]
+        ns, values = {}, {}
+        for stmt in ast.parse(block.removeprefix("python\n")).body:
+            code = ast.unparse(stmt)
+            if isinstance(stmt, ast.Expr):
+                values[code] = eval(code, ns)
+            else:
+                exec(code, ns)
+        assert values["sc.is_polymatroid(h)"] is True
+        assert len(ns["cone"].rows) == 12
+        assert values["cone.contains(s.free_values())"] is True
+        assert values["sc.form_value(zy, h)"] == -1
+        assert values["sc.reduce_form(zy.items(), p.count_index)"] == (
+            -4, 3, -1, 8, -5, -1, 0, 0)
+        assert values["len(rays)"] == 10

@@ -14,6 +14,7 @@ from symcone import (
     factor,
     family_Un,
     family_Un_tags,
+    form_value,
     free_expansion,
     gap_witness,
     gap_witness_blocks,
@@ -226,7 +227,7 @@ class TestGapWitness:
 
     def test_restriction_violates_the_four_variable_form(self):
         h = restrict(gap_witness(3, 3), mask_of([1, 2, 4, 5]))
-        assert zhang_yeung_form(h.ground, (1, 2, 3, 4)).evaluate(h) == -1
+        assert form_value(zhang_yeung_form(h.ground, (1, 2, 3, 4)), h) == -1
 
     def test_blocks_variant_follows_first_block(self):
         g = GroundSet(4)

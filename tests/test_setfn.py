@@ -1,3 +1,4 @@
+import hashlib
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,6 +12,7 @@ from symcone import (
     UnsupportedSizeError,
     elemental_count,
     elemental_rows,
+    form_value,
     gap_witness,
     is_matroid,
     is_polymatroid,
@@ -229,16 +231,16 @@ class TestMutualInfo:
 class TestZhangYeung:
     def test_violated_by_gap_witness(self):
         h = gap_witness(2, 2)
-        assert zhang_yeung_form(h.ground).evaluate(h) == -1
+        assert form_value(zhang_yeung_form(h.ground), h) == -1
 
     def test_uniform_satisfies_all_role_orders(self):
         u = uniform(2, 4)
         for roles in permutations((1, 2, 3, 4)):
-            assert zhang_yeung_form(u.ground, roles).evaluate(u) >= 0
+            assert form_value(zhang_yeung_form(u.ground, roles), u) >= 0
 
     def test_zero_function(self):
         z = SetFunction(GroundSet(4), (0,) * 16)
-        assert zhang_yeung_form(z.ground).evaluate(z) == 0
+        assert form_value(zhang_yeung_form(z.ground), z) == 0
 
     def test_too_small_ground(self):
         with pytest.raises(UnsupportedSizeError):
@@ -247,6 +249,30 @@ class TestZhangYeung:
     def test_duplicate_roles(self):
         with pytest.raises(ValueError):
             zhang_yeung_form(GroundSet(4), (1, 2, 3, 3))
+
+    def test_role_orders_pinned(self):
+        # the (mask, coeff) pairs of all 24 role orders; the pin also
+        # fixes the key order and the int type of every coefficient
+        g = GroundSet(4)
+        text = "\n".join(
+            repr((roles, tuple(zhang_yeung_form(g, roles).items())))
+            for roles in permutations((1, 2, 3, 4))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f1bfd93714a0652123b6ab8f0ed203f85b9bee0a15b47882c1614006e71efc69")
+
+
+class TestFormValue:
+    def test_sums_coefficient_times_value(self):
+        u = uniform(2, 3)
+        assert form_value({0b011: 2, 0b100: Fraction(-1, 2), 0: 5}, u) == Fraction(7, 2)
+        assert form_value({}, u) == 0
+
+    @pytest.mark.parametrize("mask", [-1, 8])
+    def test_mask_outside_ground_set(self, mask):
+        # a negative mask must not index from the end of the values
+        with pytest.raises(ValueError, match=f"mask {mask} outside 0..7"):
+            form_value({mask: 1}, uniform(2, 3))
 
 
 class TestRestrict:

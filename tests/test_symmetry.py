@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -13,6 +15,7 @@ from symcone import (
     canonical_representatives,
     elemental_count,
     facet_orbit_label,
+    form_value,
     from_sym,
     gap_witness,
     is_p_symmetric,
@@ -21,10 +24,12 @@ from symcone import (
     orbit_count_formula,
     orbit_labels,
     orbit_sizes,
+    reduce_form,
     refines,
     symmetrize,
     to_sym,
     uniform,
+    zhang_yeung_form,
 )
 from symcone.setfn import FacetId
 from symcone.families import random_polymatroid, random_symmetric_function
@@ -117,6 +122,42 @@ class TestSymmetrize:
                 out = symmetrize(h, p)
                 assert is_p_symmetric(out, p)
                 assert is_polymatroid(out)
+
+
+class TestReduceForm:
+    def test_repeated_masks_add_up(self):
+        # E(1) on {1} | {2,3} is (N, 0, N - 1, 0): the empty mask twice
+        p = canonical_partition((1, 2))
+        terms = zip((0b111, 0, 0b110, 0), (1, 1, -1, -1))
+        assert reduce_form(terms, p.count_index) == (0, -1, 0, 0, 1)
+        identity = (range(4), range(4))
+        assert reduce_form(((3, 1), (1, -1), (3, 2)), identity) == (-1, 0, 3)
+        assert reduce_form((), identity) == (0, 0, 0)
+
+    @pytest.mark.parametrize("mask", [-1, 8])
+    def test_mask_out_of_range(self, mask):
+        index = canonical_partition((1, 2)).count_index
+        with pytest.raises(ValueError, match=f"mask {mask} outside 0..7"):
+            reduce_form(((1, 1), (mask, 1)), index)
+
+    def test_zhang_yeung_reduces_by_averaging(self, rng):
+        # at a p-symmetric h every mask takes the value of its count
+        # tuple, so the reduced row dotted with to_sym(h, p) is the
+        # value of the full form
+        for n in (4, 5, 6):
+            for p in canonical_representatives(n):
+                if n == 4:
+                    role_tuples = list(permutations((1, 2, 3, 4)))
+                else:
+                    role_tuples = [tuple(rng.sample(range(1, n + 1), 4))
+                                   for _ in range(8)]
+                hs = [random_symmetric_function(p, rng) for _ in range(3)]
+                for roles in role_tuples:
+                    zy = zhang_yeung_form(p.ground, roles)
+                    row = reduce_form(zy.items(), p.count_index)
+                    for h in hs:
+                        reduced = sum(map(mul, row, to_sym(h, p).free_values()))
+                        assert reduced == form_value(zy, h)
 
 
 class TestSymmetryPredicate:
