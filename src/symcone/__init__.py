@@ -32,7 +32,6 @@ from .partitions import (
     canonical_partition,
     canonical_representatives,
     covers,
-    integer_partition_of,
     integer_partitions,
     partition_vector,
     refines,

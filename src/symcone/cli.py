@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: facets, orbits, project, rays, check, decompose, verify,
-family.  Output is deterministic for identical invocations; rationals
-print as p/q in lowest terms.  Exit codes: 0 success, 1 failed
+family.  Identical invocations print identical output, except the
+per-verdict `wall_time_ms` of `verify` json, a measured run time;
+rationals print as p/q in lowest terms.  Exit codes: 0 success, 1 failed
 check/verdict, 2 usage error, 141 (128 + SIGPIPE) when stdout is
 closed before the output is written.
 """

@@ -4,8 +4,8 @@ conic decomposition.
 All coefficient arithmetic is integer or rational.  Elemental rows go
 through `symmetry.reduce_form`; orbit rows are a closed form.  The
 extreme-ray enumerator is an incremental double description over
-Python ints: one fraction-free elimination picks independent rows and
-inverts them into a simplicial subcone, then the remaining rows are
+Python ints: one fraction-free elimination picks independent rows B
+and its tags give B^-1, a simplicial subcone; the remaining rows are
 inserted one at a time, in the order the cone lists them, combining
 adjacent positive/negative ray pairs.  Tight sets are int bitmasks and
 adjacency is combinatorial: no third ray is tight on all the rows the
@@ -21,7 +21,8 @@ row values and the values of an inserted row over the current rays
 all read it.  A cone with a longer row keeps a sparse loop.  Conic
 decomposition is a phase-1 simplex with Bland's rule on a
 fraction-free integer tableau; infeasibility yields a separating
-functional.
+functional.  The elimination and the simplex update rows through one
+Bareiss pivot step, `_pivot`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .partitions import Partition
@@ -136,14 +137,13 @@ class HCone:
         seen = set()
         norm = []
         for coeffs, label in self.rows:
-            ints, _ = _clear_denominators(coeffs)
-            if len(ints) != self.dim:
+            if type(coeffs) is not tuple or set(map(type, coeffs)) != {int}:
+                coeffs, _ = _clear_denominators(coeffs)
+            if len(coeffs) != self.dim:
                 raise ValueError("row length does not match dimension")
-            if not any(ints):
+            if not any(coeffs):
                 raise ValueError("zero row")
-            ints = _content_normalize(ints)
-            if ints == coeffs and all(type(x) is int for x in coeffs):
-                ints = coeffs
+            ints = _content_normalize(coeffs)
             if ints in seen:
                 raise ValueError(f"duplicate row {ints}")
             seen.add(ints)
@@ -294,61 +294,63 @@ def reduced_facet_row(fid, p: Partition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra: one fraction-free elimination over Python ints
+# Exact linear algebra: one Bareiss pivot step over Python ints, shared
+# by the elimination and the simplex
 
 
-def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> list:
+def _pivot(tab: list, r: int, col: int, den: int) -> int:
+    """One fraction-free pivot on `tab[r][col]`, in place (Bareiss).
+
+    Every other row becomes `(p*row - row[col]*tab[r]) // den`, where
+    p is the pivot; the division is exact when `den` is the previous
+    pivot (1 at the first).  A row that is 0 in `col` is only rescaled,
+    and left as it is when `p == den`.  Returns p, the next `den`.
+    """
+    row = tab[r]
+    p = row[col]
+    for i, other in enumerate(tab):
+        if i == r:
+            continue
+        f = other[col]
+        if f:
+            tab[i] = [(p * a - f * b) // den for a, b in zip(other, row)]
+        elif p != den:
+            tab[i] = [p * a // den for a in other]
+    return p
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple:
     """Fraction-free Gauss-Jordan elimination, one row at a time.
 
-    Each row is reduced against the pivot rows kept so far and is kept
-    when it is nonzero on its first `ncols` entries.  Its first nonzero
-    entry there becomes its pivot, which is cleared from every earlier
-    pivot row, so each pivot row is zero in all other pivot columns.
-    Every reduced row is divided by its content.  Stops at `ncols`
-    pivots.  Returns `(index, pivot_col, row)` for each kept row: the
-    first rows spanning the row space of the first `ncols` columns.
+    Each row is reduced against the rows kept so far as
+    `den*row - sum(row[c_i] * R_i)` and is kept when it is nonzero;
+    its first nonzero entry becomes its pivot, and `_pivot` clears that
+    column from the kept rows.  Stops at one pivot per column.  Each
+    row carries a tag block after its coefficients: the combination of
+    kept input rows it is, by kept position, so the tags times the kept
+    input rows give the coefficients.  Returns `(kept, den)`: kept is
+    `(index, pivot_col, row)` for the first rows spanning the row space,
+    every row holds `den` at its own pivot column and 0 at the others,
+    and `den` is the last pivot.
     """
-    kept: list = []
+    n = len(rows[0]) if rows else 0
+    tab, kept, den = [], [], 1
     for index, row in enumerate(rows):
-        v = list(row)
-        for _, col, r in kept:
-            f = v[col]
+        v = [den * a for a in row] + [0] * n
+        v[n + len(kept)] = den
+        for (_, c), r in zip(kept, tab):
+            f = row[c]
             if f:
-                p = r[col]
-                v = [p * a - f * b for a, b in zip(v, r)]
-        col = next((j for j in range(ncols) if v[j]), None)
+                v = [a - f * b for a, b in zip(v, r)]
+        col = next((j for j in range(n) if v[j]), None)
         if col is None:
             continue
-        v = _content_normalize(v)
-        for k, (i, c, r) in enumerate(kept):
-            f = r[col]
-            if f:
-                p = v[col]
-                kept[k] = (i, c, _content_normalize(
-                    [p * a - f * b for a, b in zip(r, v)]))
-        kept.append((index, col, v))
-        if len(kept) == ncols:
+        tab.append(v)
+        den = _pivot(tab, len(kept), col, den)
+        kept.append((index, col))
+        if len(kept) == n:
             break
-    return kept
-
-
-def _inverse_columns(square: Sequence[Sequence[int]]) -> list:
-    """Primitive positive multiples of the columns of B^-1, for a
-    full-rank square integer B, from one elimination of `[B | I]`."""
-    d = len(square)
-    reduced = _eliminate(
-        [tuple(row) + tuple(int(j == k) for j in range(d))
-         for k, row in enumerate(square)],
-        d,
-    )
-    denom = lcm(*(r[c] for _, c, r in reduced))
-    columns = []
-    for j in range(d):
-        x = [0] * d
-        for _, c, r in reduced:
-            x[c] = r[d + j] * denom // r[c]
-        columns.append(_content_normalize(x))
-    return columns
+    return [(i, c, r) for (i, c), r in zip(kept, tab)], den
 
 
 def _incidence(tight: Sequence[int], width: int) -> list:
@@ -371,8 +373,10 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     """All extreme rays of a pointed cone, lexicographically sorted.
 
     One integer elimination checks that the rows have full rank and
-    picks the first `dim` independent rows as a basis B; the primitive
-    columns of B^-1 are the rays of the starting simplicial cone.  The
+    picks the first `dim` independent rows as a basis B; its tags are
+    `den` times B^-1, and their primitive columns, signed by `den`, are
+    the rays of the starting simplicial cone.  Without full rank, the
+    reduced rows give the line direction raised as NotPointedError.  The
     other rows are then inserted in the order `c.rows` lists them (the
     output does not depend on that order).  Each ray carries its tight
     set over the inserted rows as an int bitmask.  A positive/negative
@@ -391,18 +395,27 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
             f"cone dimension {d} exceeds the enumeration cap {max_dim}"
         )
     all_rows = [coeffs for coeffs, _ in c.rows]
-    kept = _eliminate(all_rows, d)
+    kept, den = _eliminate(all_rows)
+    sign = 1 if den > 0 else -1
     basis_idx = [i for i, _, _ in kept]
-    square = [all_rows[i] for i in basis_idx]
     if len(kept) < d:
-        # unit rows on the free columns complete the rank; the column of
-        # B^-1 for the first of them is orthogonal to every row
+        # 1 on the first free column and 0 on the others solves every
+        # reduced row, so it is orthogonal to every row
         pivots = {col for _, col, _ in kept}
-        square += [tuple(int(i == j) for i in range(d))
-                   for j in range(d) if j not in pivots]
-        raise NotPointedError(_inverse_columns(square)[len(kept)])
+        free = next(j for j in range(d) if j not in pivots)
+        line = [0] * d
+        line[free] = sign * den
+        for _, col, r in kept:
+            line[col] = -sign * r[free]
+        raise NotPointedError(_content_normalize(line))
 
-    rays = _inverse_columns(square)
+    # row c of B^-1 is the tag block of the kept row with pivot c, over den
+    rays = []
+    for j in range(d):
+        x = [0] * d
+        for _, col, r in kept:
+            x[col] = sign * r[d + j]
+        rays.append(_content_normalize(x))
     # tight[k]: bitmask over inserted row indices on which rays[k] is zero
     basis_mask = sum(1 << i for i in basis_idx)
     tight = [basis_mask ^ (1 << i) for i in basis_idx]
@@ -485,10 +498,10 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     G c + D a = v, c, a >= 0; a positive optimum yields the separating
     functional from the final multipliers.  The target and each
     generator are scaled to integers by their own positive factors,
-    which changes no pivot choice.  The tableau is kept as integers
-    over one common denominator `den`, the determinant of the current
-    basis: each pivot divides exactly by the previous `den` (Bareiss,
-    as in lrs), and the ratio test cross-multiplies.
+    which changes no pivot choice.  The tableau, objective row last, is
+    kept as integers over one common denominator `den`, the determinant
+    of the current basis: each `_pivot` divides exactly by the previous
+    `den` (Bareiss, as in lrs), and the ratio test cross-multiplies.
     """
     rhs, t_scale = _clear_denominators(v)
     d = len(rhs)
@@ -500,7 +513,8 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     k = len(cols)
 
     sign = [1 if x >= 0 else -1 for x in rhs]
-    # tableau: k generator columns, d artificial columns, rhs
+    # tableau: k generator columns, d artificial columns, rhs; the
+    # objective is the last row, so each pivot updates it too
     tab = [
         [sign[i] * col[i] for col in cols]
         + [int(idx == i) for idx in range(d)]
@@ -509,10 +523,12 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     ]
     obj = [-sum(col) for col in zip(*tab)] if d else [0] * (k + 1)
     obj[k:k + d] = [0] * d
+    tab.append(obj)
 
     den = 1
     basis = [k + i for i in range(d)]
     while True:
+        obj = tab[d]
         enter = next((j for j in range(k + d) if obj[j] < 0), None)
         if enter is None:
             break
@@ -530,18 +546,7 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded")  # impossible
-        row = tab[leave]
-        piv = row[enter]
-        for i in range(d):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], row)]
-                else:
-                    tab[i] = [piv * a // den for a in tab[i]]
-        f = obj[enter]
-        obj = [(piv * a - f * b) // den for a, b in zip(obj, row)]
-        den = piv
+        den = _pivot(tab, leave, enter, den)
         basis[leave] = enter
 
     # Both checks run on the integer system; the Fractions built after

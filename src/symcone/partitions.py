@@ -191,8 +191,3 @@ def canonical_representatives(n: int) -> list:
     """One consecutive-block partition per integer partition of n."""
     ground = GroundSet(n)
     return [canonical_partition(parts, ground) for parts in integer_partitions(n)]
-
-
-def integer_partition_of(p: Partition) -> IntegerPartition:
-    """Nondecreasing block sizes of a partition."""
-    return tuple(sorted(p.block_sizes))

@@ -96,7 +96,7 @@ def _uncertified_ray(cone, rays):
         zero = [i for i, v in enumerate(values) if v == 0]
         if (any(v < 0 for v in values)
                 or sum(1 << i for i in zero) != r.tight
-                or len(_eliminate([rows[i] for i in zero], cone.dim)) != cone.dim - 1):
+                or len(_eliminate([rows[i] for i in zero])[0]) != cone.dim - 1):
             return r
     return None
 

@@ -155,6 +155,49 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def fraction_gauss_jordan(rows) -> list:
+    """`(index, pivot_col, row)` of the rows kept by Gauss-Jordan
+    elimination over Fractions, sharing no code with symcone.
+
+    Rows are taken in listed order; each is reduced against the kept
+    rows and kept when it is nonzero, with its pivot at its first
+    nonzero column.  Every kept row is scaled to 1 at its pivot and
+    is 0 at the other pivot columns: the reduced row echelon form of
+    the kept rows, up to row order."""
+    kept = []
+    for index, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for _, col, r in kept:
+            f = v[col]
+            v = [a - f * b for a, b in zip(v, r)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        v = [x / v[col] for x in v]
+        kept = [(i, c, [a - r[col] * b for a, b in zip(r, v)])
+                for i, c, r in kept]
+        kept.append((index, col, v))
+    return kept
+
+
+def fraction_det(square) -> Fraction:
+    """Determinant by Fraction Gauss elimination with row swaps."""
+    m = [[Fraction(x) for x in r] for r in square]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
 def _primitive(vec) -> tuple:
     g = math.gcd(*vec)
     return tuple(x // g for x in vec)

@@ -361,6 +361,32 @@ class TestDeterminism:
         main(["rays", "--n", "4", "--partition", "1|2,3,4"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["facets", "--n", "4", "--partition", "1,2|3,4"],
+        ["orbits", "--n", "4", "--partition", "1,2|3,4"],
+        ["project", "--function", "{witness}", "--partition", "1,2|3,4"],
+        ["rays", "--n", "4", "--partition", "1|2,3,4"],
+        ["check", "--function", "{witness}", "--zy"],
+        ["decompose", "--function", "{uniform}"],
+        ["verify", "--n-max", "3"],
+        ["family", "gap:2,2"],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_repeats_its_output(self, capsys, witness_file,
+                                                 tmp_path, argv, fmt):
+        # `verify` json carries each verdict's wall time, the one field
+        # that varies between identical invocations; it is masked here
+        upath = tmp_path / "u24.txt"
+        upath.write_text(uniform(2, 4).to_text())
+        argv = [a.format(witness=witness_file, uniform=upath) for a in argv]
+        outputs = []
+        for _ in range(2):
+            main(argv + ["--format", fmt])
+            out = capsys.readouterr().out
+            outputs.append(re.sub(r'"wall_time_ms": [0-9.e+-]+',
+                                  '"wall_time_ms": 0', out))
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestParserSurface:
     def test_csv_format_rejected(self):

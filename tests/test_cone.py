@@ -34,7 +34,7 @@ from symcone import (
     u1_loop,
     uniform,
 )
-from symcone.cone import _incidence
+from symcone.cone import _eliminate, _incidence
 from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import FacetId, elemental_rows
 from symcone.symmetry import facet_orbit_label
@@ -44,7 +44,9 @@ from conftest import (
     dense_elemental_rows,
     fraction_conic_decompose,
     fraction_contains,
+    fraction_det,
     fraction_first_violation,
+    fraction_gauss_jordan,
     fraction_rank,
     fraction_row_values,
     is_certified_ray,
@@ -355,6 +357,80 @@ class TestRayTight:
         assert len({Ray((1, 2), 1), Ray((1, 2), 2)}) == 1
 
 
+def seeded_matrices(rng, count):
+    """Integer matrices with entries -4..4: square, wide and tall, and
+    every fourth one rank-deficient through a row that is a sum of
+    multiples of earlier rows."""
+    out = []
+    for case in range(count):
+        n = 1 + case % 6
+        rows = [[rng.randint(-4, 4) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 3))]
+        if case % 4 == 0 and len(rows) >= 2:
+            a, b = (rng.randrange(len(rows) - 1) for _ in range(2))
+            rows[-1] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
+                        for x, y in zip(rows[a], rows[b])]
+        out.append(rows)
+    return out
+
+
+class TestElimination:
+    def test_matches_fraction_reference(self, rng):
+        seen = {"den < 0": 0, "rank-deficient": 0, "tall": 0, "full rank": 0}
+        for rows in seeded_matrices(rng, 400):
+            n = len(rows[0]) if rows else 0
+            kept, den = _eliminate(rows)
+            ref = fraction_gauss_jordan(rows)
+            assert [(i, c) for i, c, _ in kept] == [(i, c) for i, c, _ in ref]
+            pivots = [c for _, c, _ in kept]
+            basis = [rows[i] for i, _, _ in kept]
+            for (_, col, row), (_, _, ref_row) in zip(kept, ref):
+                assert [row[c] for c in pivots] == [den * (c == col) for c in pivots]
+                assert [Fraction(x, den) for x in row[:n]] == ref_row
+                # the tags times B give the coefficients: at full rank,
+                # den times the identity permuted to the pivots
+                tags = row[n:n + len(kept)]
+                assert row[n + len(kept):] == [0] * (n - len(kept))
+                assert [sum(t * b[j] for t, b in zip(tags, basis))
+                        for j in range(n)] == row[:n]
+                if len(kept) == n:
+                    assert row[:n] == [den * (j == col) for j in range(n)]
+            if kept:
+                assert den == fraction_det([[b[c] for c in pivots] for b in basis])
+            else:
+                assert den == 1
+            seen["den < 0"] += den < 0
+            seen["rank-deficient"] += len(kept) < min(n, len(rows))
+            seen["tall"] += len(rows) > n
+            seen["full rank"] += len(kept) == n > 0
+        assert all(seen.values()), seen
+
+    def test_not_pointed_direction_on_seeded_cones(self, rng):
+        lines = 0
+        for rows in seeded_matrices(rng, 400):
+            n = len(rows[0]) if rows else 0
+            if n == 0:
+                continue
+            try:
+                cone = HCone(n, tuple((tuple(r), i) for i, r in enumerate(rows)))
+            except ValueError:
+                continue
+            pivots = {c for _, c, _ in fraction_gauss_jordan(
+                [coeffs for coeffs, _ in cone.rows])}
+            if len(pivots) == n:
+                continue
+            with pytest.raises(NotPointedError) as err:
+                extreme_rays(cone)
+            d = err.value.direction
+            free = [j for j in range(n) if j not in pivots]
+            assert gcd(*d) == 1 and d[free[0]] > 0
+            assert all(d[j] == 0 for j in free[1:])
+            assert all(sum(a * x for a, x in zip(coeffs, d)) == 0
+                       for coeffs, _ in cone.rows)
+            lines += 1
+        assert lines > 50
+
+
 class TestIncidence:
     @pytest.mark.parametrize("count,width", [
         (0, 6), (1, 9), (130, 11), (7, 150), (100, 100),
@@ -613,6 +689,27 @@ class TestConicDecompose:
                 if isinstance(node, ast.ImportFrom) and node.level == 1
             }
         assert found == layers
+
+    def test_package_private_imports_pinned(self):
+        # `from .x import _name` reaches into another module's
+        # internals; only these edges may do so
+        allowed = {
+            ("cone", "setfn", "_clear_denominators"),
+            ("verify", "setfn", "_clear_denominators"),
+            ("verify", "cone", "_eliminate"),
+        }
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        found = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            found |= {
+                (path.stem, node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names
+                if alias.name.startswith("_")
+            }
+        assert found == allowed
 
     def test_import_builds_no_tables(self):
         # every table is built on first use, so a fresh import stays cheap
