@@ -70,6 +70,12 @@ class Partition:
         return _count_index(self)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """`str(self)`, rendered on first use and kept on the frozen
+        partition."""
         return "|".join(
             ",".join(str(e) for e in elements_of(b)) for b in self.blocks
         )
@@ -173,7 +179,14 @@ def integer_partitions(n: int) -> tuple:
 
 
 def canonical_partition(parts, ground: GroundSet = None) -> Partition:
-    """Partition with consecutive blocks of the given sizes."""
+    """Partition with consecutive blocks of the given sizes.
+
+    `ground` defaults to `GroundSet(sum(parts))`.  Equal arguments give
+    one shared object, built on first use: `canonical_partition((2, 3))`,
+    `canonical_partition([2, 3])` and `canonical_partition((2, 3),
+    GroundSet(5))` are the same `Partition`, so its cached properties
+    and text are computed once and the caches it keys compare it by
+    identity.  Arguments that raise are never cached."""
     parts = tuple(parts)
     if any(q < 1 for q in parts):
         raise ValueError("parts must be positive")
@@ -184,7 +197,13 @@ def canonical_partition(parts, ground: GroundSet = None) -> Partition:
         ground = GroundSet(n)
     elif ground.n != n:
         raise ValueError("parts do not sum to the ground set size")
-    return Partition(ground, consecutive_masks(parts))
+    return _consecutive_partition(ground, consecutive_masks(parts))
+
+
+@cache
+def _consecutive_partition(ground: GroundSet, blocks: tuple) -> Partition:
+    """`canonical_partition`, one object per ground set and block masks."""
+    return Partition(ground, blocks)
 
 
 def canonical_representatives(n: int) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, repeat
 from math import comb, lcm
 from types import MappingProxyType
@@ -48,6 +48,28 @@ def _clear_denominators(vec) -> tuple:
     if m == 1:
         return nums, 1
     return [num * (m // den) for num, den in zip(nums, dens)], m
+
+
+#: `Fraction(v)` for an int `v`, one shared object per integer: a
+#: `Fraction` is immutable, and converting an int anew costs more than
+#: the lookup.  Bounded, so arbitrary integers cannot grow it.
+_int_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
+def fraction_tuple(values) -> tuple:
+    """`values` as a tuple of `Fraction`s, each equal to `Fraction(v)`:
+    an int comes from `_int_fraction`, a `Fraction` passes through and
+    anything else (bool, float, str) goes through `Fraction(v)`, with
+    its errors.  A tuple of `Fraction`s is returned as it is.
+
+    `type(v) is int` is tested first: `isinstance(v, Fraction)` on an
+    int goes through the numeric ABCs and costs more than the cached
+    conversion."""
+    if type(values) is tuple and all(map(isinstance, values, repeat(Fraction))):
+        return values
+    return tuple([_int_fraction(v) if type(v) is int
+                  else v if isinstance(v, Fraction) else Fraction(v)
+                  for v in values])
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -121,16 +143,15 @@ class SetFunction:
     """Exact rational function on all subsets of a ground set.
 
     `values[mask]` is the value on the subset encoded by `mask`; the
-    value on the empty set must be 0.
+    value on the empty set must be 0.  The values are stored as
+    `fraction_tuple(values)`: equal int values share one `Fraction`.
     """
 
     ground: GroundSet
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = self.values
-        if not (type(vals) is tuple and all(map(isinstance, vals, repeat(Fraction)))):
-            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
+        vals = fraction_tuple(self.values)
         if len(vals) != 1 << self.ground.n:
             raise ValueError(
                 f"expected {1 << self.ground.n} values, got {len(vals)}"

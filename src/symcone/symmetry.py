@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import repeat
+from functools import cache, cached_property
 from math import comb, prod
 from typing import Optional
 
@@ -23,6 +22,7 @@ from .setfn import (
     FacetId,
     SetFunction,
     elemental_rows,
+    fraction_tuple,
     set_text,
 )
 
@@ -104,15 +104,14 @@ def symmetrize(h: SetFunction, p: Partition) -> SetFunction:
 @dataclass(frozen=True)
 class SymVector:
     """Reduced coordinates of a symmetric function, one per count tuple
-    of the partition, in the order of `Partition.count_tuples`."""
+    of the partition, in the order of `Partition.count_tuples`, stored
+    as `fraction_tuple(values)`: equal int values share one `Fraction`."""
 
     partition: Partition
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = self.values
-        if not (type(vals) is tuple and all(map(isinstance, vals, repeat(Fraction)))):
-            vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
+        vals = fraction_tuple(self.values)
         if len(vals) != len(self.partition.count_tuples):
             raise ValueError("wrong number of reduced coordinates")
         if vals[0] != 0:
@@ -193,6 +192,11 @@ class OrbitLabel:
         return tuple(i + 1 for i, v in enumerate(self.lambda_I) if v)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """`str(self)`, rendered on first use and kept on the frozen label."""
         t = self.t
         ktxt = ",".join(str(k) for k in self.lambda_K)
         if self.kind == "A":

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import random
 import subprocess
@@ -712,20 +713,40 @@ class TestConicDecompose:
         assert found == allowed
 
     def test_import_builds_no_tables(self):
-        # every table is built on first use, so a fresh import stays cheap
+        # every table is built on first use, so a fresh import of every
+        # module stays cheap.  The caches are found by walking the modules,
+        # one entry per wrapper object with every name it is bound to,
+        # and their number must match the `cache` and `lru_cache` uses
+        # in the source, so that no cache escapes the walk.
         script = (
-            "import symcone\n"
-            "from symcone import cli, cone, partitions, setfn, symmetry, verify\n"
-            "print(*(f.cache_info().currsize for f in (\n"
-            "    cone.psi_p_hrep, cone.gamma_n_hrep, setfn.elemental_rows,\n"
-            "    partitions._count_index, symmetry._orbit_labels,\n"
-            "    verify._context_families, verify._family_vectors,\n"
-            "    partitions.integer_partitions, cli._parser)))\n"
+            "import importlib, json, pkgutil, sys, symcone\n"
+            "for info in pkgutil.iter_modules(symcone.__path__):\n"
+            "    importlib.import_module(f'symcone.{info.name}')\n"
+            "found = {}\n"
+            "for name, mod in sorted(sys.modules.items()):\n"
+            "    if name.startswith('symcone.'):\n"
+            "        for key, val in vars(mod).items():\n"
+            "            if callable(getattr(val, 'cache_info', None)):\n"
+            "                entry = found.setdefault(id(val), [[], val.cache_info().currsize])\n"
+            "                entry[0].append(f'{name}.{key}')\n"
+            "print(json.dumps(sorted(found.values())))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, check=True, env=env).stdout.split()
-        assert out == ["0"] * 9
+                             text=True, check=True, env=env).stdout
+        found = json.loads(out)
+        src = Path(__file__).resolve().parents[1] / "src" / "symcone"
+        uses = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and (getattr(node, "id", None) or getattr(node, "attr", None))
+            in ("cache", "lru_cache")
+        ]
+        assert len(found) == len(uses) > 0, (found, uses)
+        assert [names for names, size in found if size] == []
 
     def test_matches_fraction_simplex_on_random_cones(self, rng):
         """Same coefficients or certificate as the Fraction simplex."""

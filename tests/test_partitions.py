@@ -14,7 +14,9 @@ from symcone import (
     uniform,
 )
 import symcone.partitions as partitions_module
+import symcone.verify as verify_module
 from symcone.partitions import block_map
+from symcone.setfn import consecutive_masks
 
 from conftest import all_set_partitions, brute_integer_partition_count
 
@@ -184,11 +186,18 @@ class TestCountIndex:
         assert canonical_partition((2, 3)).count_index is canonical_partition((2, 3)).count_index
 
     def test_repeated_decompositions_build_one_index(self):
+        # the first decomposition builds the generator family and the
+        # count index of each partition it reads; later ones build none
         h = uniform(2, 4)
         partitions_module._count_index.cache_clear()
+        partitions_module._consecutive_partition.cache_clear()
+        verify_module._family_vectors.cache_clear()
+        assert decompose_1n(h, 4).feasible
+        misses = partitions_module._count_index.cache_info().misses
+        assert misses >= 1
         for _ in range(2):
             assert decompose_1n(h, 4).feasible
-        assert partitions_module._count_index.cache_info().misses == 1
+        assert partitions_module._count_index.cache_info().misses == misses
 
 
 class TestCanonicalRepresentatives:
@@ -236,3 +245,31 @@ class TestIntegerPartitionOf:
             canonical_partition((2, 1))
         with pytest.raises(ValueError):
             canonical_partition((0, 2))
+
+    def test_equal_arguments_give_one_object(self):
+        first = canonical_partition((2, 3))
+        assert canonical_partition([2, 3]) is first
+        assert canonical_partition(iter((2, 3))) is first
+        assert canonical_partition((2, 3), GroundSet(5)) is first
+        assert canonical_representatives(5)[2] is first
+        assert canonical_partition((1, 4)) is not first
+        for n in range(1, 8):
+            for parts in integer_partitions(n):
+                p = canonical_partition(parts)
+                fresh = Partition(GroundSet(n), consecutive_masks(parts))
+                assert p == fresh and hash(p) == hash(fresh)
+                assert str(p) == str(fresh)
+
+    @pytest.mark.parametrize("parts,ground,message", [
+        ((2, 1), None, "parts must be nondecreasing"),
+        ((0, 2), None, "parts must be positive"),
+        ((-1, 2), None, "parts must be positive"),
+        ((2, 2), GroundSet(5), "parts do not sum to the ground set size"),
+        ((13,), None, "ground set size 13 outside supported range 1..12"),
+    ])
+    def test_bad_parts_raise_and_cache_nothing(self, parts, ground, message):
+        partitions_module._consecutive_partition.cache_clear()
+        with pytest.raises(ValueError) as err:
+            canonical_partition(parts, ground)
+        assert str(err.value) == message
+        assert partitions_module._consecutive_partition.cache_info().currsize == 0

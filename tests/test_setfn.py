@@ -9,7 +9,9 @@ from symcone import (
     FacetId,
     GroundSet,
     SetFunction,
+    SymVector,
     UnsupportedSizeError,
+    canonical_partition,
     elemental_count,
     elemental_rows,
     form_value,
@@ -334,3 +336,51 @@ class TestSerialization:
     def test_empty_set_value_must_vanish(self):
         with pytest.raises(ValueError):
             SetFunction(GroundSet(2), (1, 0, 0, 0))
+
+
+class _Half(Fraction):
+    """A Fraction subclass, which both value types keep as it is."""
+
+
+class TestFractionValues:
+    # `SetFunction` and `SymVector` convert each entry as `Fraction(v)`
+    # does, a Fraction passing through
+    @staticmethod
+    def builds(entry):
+        return (SetFunction(GroundSet(1), (0, entry)).values[1],
+                SymVector(canonical_partition((1,)), (0, entry)).values[1])
+
+    def test_ints_share_one_fraction(self):
+        ints = (0, 1, 1, 2, 1, 2, 2, 3)
+        f = SetFunction(GroundSet(3), ints)
+        g = SetFunction(GroundSet(3), list(ints))
+        s = SymVector(canonical_partition((3,)), (0, 1, 2, 3))
+        for vals in (f.values, g.values, s.values):
+            assert all(type(v) is Fraction for v in vals)
+        assert f.values == g.values == tuple(map(Fraction, ints))
+        assert s.values == tuple(map(Fraction, range(4)))
+        assert f.values[1] is f.values[2] is g.values[4] is s.values[1]
+        assert f.values[7] is s.values[3]
+        big = 2**70 + 1
+        assert self.builds(big)[0] is self.builds(big)[1] == Fraction(big)
+
+    @pytest.mark.parametrize("entry", [
+        0, -3, 2**70, True, False, 0.5, -0.0, 1e-300, "2/3", " 7 ", "-1.25e2",
+        Decimal("1.25"), Fraction(5, 4), _Half(1, 2),
+    ], ids=repr)
+    def test_entry_converts_as_fraction(self, entry):
+        want = entry if isinstance(entry, Fraction) else Fraction(entry)
+        for got in self.builds(entry):
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("entry", [
+        "x", "1/0", "", float("nan"), float("inf"), None, 1j, [1], Decimal("NaN"),
+    ], ids=repr)
+    def test_bad_entry_raises_as_fraction(self, entry):
+        with pytest.raises(Exception) as want:
+            Fraction(entry)
+        for build in (lambda: SetFunction(GroundSet(1), (0, entry)),
+                      lambda: SymVector(canonical_partition((1,)), (0, entry))):
+            with pytest.raises(want.type) as got:
+                build()
+            assert str(got.value) == str(want.value)

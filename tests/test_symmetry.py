@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -302,6 +303,22 @@ class TestOrbitLabels:
         assert str(OrbitLabel((1, 0), (0, 0))) == "[1_2(1)|0]"
         assert str(OrbitLabel((1, 1), (0, 1))) == "[1_2(1,2)|0,1]"
         assert str(OrbitLabel((0, 2), (1, 0))) == "[2_2(2)|1,0]"
+
+    def test_label_and_partition_text_pinned(self):
+        # every canonical partition with n <= 7, each followed by its
+        # orbit labels, one text per line; the sha256 was recorded
+        # before the text was cached on the objects
+        lines = []
+        for n in range(1, 8):
+            for p in canonical_representatives(n):
+                lines.append(str(p))
+                lines += [str(lab) for lab in orbit_labels(p)]
+                assert str(p) is str(p)
+                assert all(str(lab) is str(lab) for lab in orbit_labels(p))
+        text = "\n".join(lines) + "\n"
+        assert len(lines) == 3631
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b4e75723fffab1ea3329736d7bed21efc9146301990cd05474fd26942372a91a")
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
