@@ -73,11 +73,11 @@ from .families import (
     free_expansion,
     gap_witness,
     gap_witness_blocks,
-    phi_map,
     restrict,
     u1_loop,
     u_km,
     uniform,
+    uniform_factor,
     uniform_on_support,
 )
 from .verify import (

@@ -162,18 +162,8 @@ def cmd_rays(args) -> int:
 
 def cmd_check(args) -> int:
     h = _read_function(args.function, n=args.n)
-    wanted = [
-        name
-        for name, on in (
-            ("polymatroid", args.polymatroid),
-            ("matroid", args.matroid),
-            ("member", args.member),
-            ("zy", args.zy),
-        )
-        if on
-    ]
-    if not wanted:
-        wanted = ["polymatroid", "matroid"]
+    wanted = [name for name in ("polymatroid", "matroid", "member", "zy")
+              if getattr(args, name)] or ["polymatroid", "matroid"]
     results = {}
     failed = False
     if "polymatroid" in wanted:

@@ -1,7 +1,9 @@
 """Constructors for the named rank functions used throughout: uniform
 matroids with or without loops, free expansion and its inverse factor
 (restriction is a factor too), the generator family of the singleton-block reduced cone, and the
-symmetric functions witnessing the gap to the entropic region."""
+symmetric functions witnessing the gap to the entropic region.
+`uniform_factor` builds every factor of a uniform matroid that `uniform`,
+`u_km` and the isolation witnesses name, from its count-tuple values."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .partitions import Partition
+from .partitions import Partition, canonical_partition
 from .setfn import GroundSet, SetFunction, consecutive_masks, elements_of, is_polymatroid
 from .symmetry import SymVector, from_sym, symmetrize
 
@@ -37,14 +40,8 @@ class ExpansionMap:
             union |= m
 
     def of_mask(self, B: int) -> int:
-        out = 0
-        pos = 0
-        while B:
-            if B & 1:
-                out |= self.images[pos]
-            B >>= 1
-            pos += 1
-        return out
+        """phi(B), the union of the images of the elements of B."""
+        return sum(m for i, m in enumerate(self.images) if B >> i & 1)
 
 
 def canonical_expansion(h: SetFunction) -> ExpansionMap:
@@ -57,13 +54,26 @@ def canonical_expansion(h: SetFunction) -> ExpansionMap:
     return ExpansionMap(h.ground, GroundSet(sum(sizes)), images)
 
 
+def uniform_factor(p: Partition, rank: int, weights) -> SetFunction:
+    """min(rank, sum of weights[b] * k[b]) on each count tuple k of p: the
+    factor of a uniform matroid giving each element of block b its own
+    weights[b] columns (0 makes loops).  ValueError unless the rank and
+    the weights are nonnegative ints, one weight per block."""
+    weights = tuple(weights)
+    if len(weights) != p.t or any(type(w) is not int or w < 0 for w in weights):
+        raise ValueError(f"weights {weights} must be one nonnegative int per block")
+    if type(rank) is not int or rank < 0:
+        raise ValueError(f"rank {rank!r} must be a nonnegative int")
+    values = [min(rank, sum(map(mul, weights, k))) for k in p.count_tuples]
+    return from_sym(SymVector(p, values))
+
+
 def uniform(m: int, n: int) -> SetFunction:
     """Uniform matroid rank min(m, |A|)."""
     if not 0 <= m <= n:
         raise ValueError(f"rank {m} out of range for {n} elements")
-    ground = GroundSet(n)
-    p = Partition(ground, (ground.full_mask,))
-    return from_sym(SymVector(p, tuple(min(m, k) for (k,) in p.count_tuples)))
+    # GroundSet(n) first: n = 0 is a ground-set size error, not a bad part
+    return uniform_factor(canonical_partition((n,), GroundSet(n)), m, (1,))
 
 
 def uniform_on_support(rank: int, support: int, ground: GroundSet) -> SetFunction:
@@ -130,21 +140,13 @@ def u1_loop(n: int) -> SetFunction:
     return uniform_on_support(1, 1, GroundSet(n))
 
 
-def phi_map(m: int, n: int) -> ExpansionMap:
-    """Element 1 maps to the first m - n + 1 targets, element i to {i + m - n}."""
-    if not n - 1 <= m <= 2 * n - 2:
-        raise ValueError(f"target size {m} out of range for {n} elements")
-    images = consecutive_masks((m - n + 1,) + (1,) * (n - 1))
-    return ExpansionMap(GroundSet(n), GroundSet(m), images)
-
-
 def u_km(k: int, m: int, n: int) -> SetFunction:
-    """Factor of the uniform matroid U_{k,m} through the head-heavy map."""
+    """Factor of U_{k,m} giving element 1 m - n + 1 columns, the others one."""
     if not n - 1 <= m <= 2 * n - 2:
         raise ValueError(f"m={m} out of range for n={n}")
     if not max(1, m - n + 1) <= k <= n - 1:
         raise ValueError(f"k={k} out of range for (m, n)=({m}, {n})")
-    return factor(uniform(k, m), phi_map(m, n))
+    return uniform_factor(canonical_partition((1, n - 1)), k, (m - n + 1, 1))
 
 
 def family_Un_tags(n: int) -> list:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import product
+from operator import index
 from typing import Optional
 
 from .setfn import GroundSet, consecutive_masks, elements_of
@@ -186,23 +187,32 @@ def canonical_partition(parts, ground: GroundSet = None) -> Partition:
     `canonical_partition([2, 3])` and `canonical_partition((2, 3),
     GroundSet(5))` are the same `Partition`, so its cached properties
     and text are computed once and the caches it keys compare it by
-    identity.  Arguments that raise are never cached."""
+    identity.  A repeated call costs one cache lookup; arguments that
+    raise are never cached."""
     parts = tuple(parts)
+    try:
+        return _consecutive_partition(ground, *parts)
+    except TypeError:  # unhashable arguments raise what validation raises
+        return _consecutive_partition.__wrapped__(ground, *parts)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _consecutive_partition(ground, *parts) -> Partition:
+    """`canonical_partition`, keyed by the type of each part too.  Only int
+    parts with no ground build a `Partition`; other valid calls share it."""
     if any(q < 1 for q in parts):
         raise ValueError("parts must be positive")
     if list(parts) != sorted(parts):
         raise ValueError("parts must be nondecreasing")
     n = sum(parts)
+    plain = ground is None and all(type(q) is int for q in parts)
     if ground is None:
         ground = GroundSet(n)
     elif ground.n != n:
         raise ValueError("parts do not sum to the ground set size")
-    return _consecutive_partition(ground, consecutive_masks(parts))
-
-
-@cache
-def _consecutive_partition(ground: GroundSet, blocks: tuple) -> Partition:
-    """`canonical_partition`, one object per ground set and block masks."""
+    blocks = consecutive_masks(parts)
+    if not plain:
+        return _consecutive_partition(None, *map(index, parts))
     return Partition(ground, blocks)
 
 

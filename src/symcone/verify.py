@@ -22,7 +22,7 @@ from .cone import (
     normalize_ray,
     psi_p_hrep,
 )
-from .families import family_Un, gap_witness_blocks, uniform
+from .families import family_Un, gap_witness_blocks, uniform, uniform_factor
 from .partitions import (
     Partition,
     block_map,
@@ -186,17 +186,11 @@ def verify_facet_bijection(p: Partition) -> Verdict:
 
 def two_block_coarsening(p: Partition) -> Optional[Partition]:
     """A coarsening of p into two groups of blocks, both of size >= 2."""
-    t = p.t
-    for pick in range(1, 1 << (t - 1)):  # block 0 always in the first group
+    for pick in range(1, 1 << (p.t - 1)):  # block 0 always in the first group
         sel = pick << 1 | 1
-        first = 0
-        second = 0
-        for i in range(t):
-            if sel >> i & 1:
-                first |= p.blocks[i]
-            else:
-                second |= p.blocks[i]
-        if second and first.bit_count() >= 2 and second.bit_count() >= 2:
+        first = sum(b for i, b in enumerate(p.blocks) if sel >> i & 1)
+        second = p.ground.full_mask ^ first
+        if first.bit_count() >= 2 and second.bit_count() >= 2:
             return Partition(p.ground, (first, second))
     return None
 
@@ -314,38 +308,43 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     inside its context family.
 
     `target` must label a facet orbit of p, and `context` must merge
-    exactly two blocks u, v of p; else ValueError.  The witness is
-    p-symmetric, so `from_sym` builds it from its value on each count
-    tuple k.  An A label on block l takes k[l], the free matroid on
-    its block.  A B label with both legs in {u, v} takes the split-pair
-    grid at (k[u], k[v]).  Every other label takes
-    min(rank, sum of k over a support of blocks), the uniform matroid
-    on the support with loops elsewhere: the support is the blocks the
-    label touches, plus u when none of them is u or v, and the rank is
-    1 + the sum of lambda_K over the support.
+    exactly two blocks u, v of p; else ValueError.  A B label with both
+    legs in {u, v} takes the split-pair grid at (k[u], k[v]) on each
+    count tuple k.  Every other witness is a `uniform_factor` with the
+    0/1 weights of a support of blocks: an A label on block l takes
+    support {l} and rank n_l; any other label the blocks it touches,
+    plus u when none of them is u or v, and rank 1 + the sum of
+    lambda_K over the support.
     """
-    posmap, families = _context_families(p, context)
-    family = families.get(_collapse(target, posmap, context.t))
-    if family is None or target not in (label for _, label in family.rows):
+    posmap, family, _ = _target_family(p, target, context)
+    if family is None:
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
     touched = {i - 1 for i in target.blocks_touched()}
     lk = target.lambda_K
-    tuples = p.count_tuples
-
-    if target.kind == "A":
-        (l,) = touched
-        values = [k[l] for k in tuples]
-    elif touched == {u, v}:
-        sizes = p.block_sizes
+    sizes = p.block_sizes
+    if touched == {u, v}:
         grid = _mixed_pair_grid(sizes[u], sizes[v], lk[u], lk[v])
-        values = [grid[k[u], k[v]] for k in tuples]
+        values = tuple([grid[k[u], k[v]] for k in p.count_tuples])
+        return IsolationWitness(p, target, context, from_sym(SymVector(p, values)))
+    if target.kind == "A":
+        support, rank = touched, sizes[min(touched)]
     else:
         support = touched if touched & {u, v} else touched | {u}
         rank = 1 + sum(lk[i] for i in support)
-        values = [min(rank, sum(k[i] for i in support)) for k in tuples]
-    return IsolationWitness(p, target, context, from_sym(SymVector(p, tuple(values))))
+    weights = [int(i in support) for i in range(p.t)]
+    return IsolationWitness(p, target, context, uniform_factor(p, rank, weights))
+
+
+def _target_family(p: Partition, target: OrbitLabel, context: Partition) -> tuple:
+    """`(posmap, family, labels)`: `_context_families(p, context)`'s block
+    map, the family `target` collapses into (None unless `target` is a
+    row of it) and that family's row labels, empty when there is none."""
+    posmap, families = _context_families(p, context)
+    family = families.get(_collapse(target, posmap, context.t))
+    labels = [] if family is None else [label for _, label in family.rows]
+    return posmap, family if target in labels else None, labels
 
 
 @cache
@@ -386,10 +385,8 @@ def check_isolation(w: IsolationWitness) -> Verdict:
             vec = to_sym(w.function, p).free_values()
         except SymmetryError:
             return False, {"symmetry": str(p)}
-        posmap, families = _context_families(p, w.context)
-        family = families.get(_collapse(w.target, posmap, w.context.t))
-        labels = [] if family is None else [lab for _, lab in family.rows]
-        if w.target not in labels:
+        _, family, labels = _target_family(p, w.target, w.context)
+        if family is None:
             return False, {"family": [str(lab) for lab in labels]}
         for lab, val in zip(labels, family.row_values(vec)):
             if lab == w.target:

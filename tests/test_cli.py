@@ -232,6 +232,12 @@ class TestDecompose:
         assert main(["decompose", "--function", str(path)]) == 0
         assert "u1loop:4 1" in capsys.readouterr().out
 
+    def test_eight_element_function_decomposes(self, capsys, tmp_path):
+        path = tmp_path / "u28.txt"
+        path.write_text("".join(f"{a} {min(2, a.bit_count())}\n" for a in range(256)))
+        assert main(["decompose", "--function", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ukm:2,8,8 1"]
+
     def test_outside_point_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text((-1 * u1_loop(4)).to_text())
@@ -285,6 +291,12 @@ class TestProjectAndFamily:
     def test_family_text(self, capsys):
         assert main(["family", "uniform:1,2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 1", "3 1"]
+
+    def test_family_member_past_the_ground_cap(self, capsys):
+        # U_{6,13} pulled back onto 8 elements: element 1 carries 6 columns
+        assert main(["family", "ukm:6,13,8"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{a} {min(6, 6 * (a & 1) + (a >> 1).bit_count())}" for a in range(256)]
 
     def test_family_bad_tag(self, capsys):
         assert main(["family", "nope:1"]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,21 +19,24 @@ from symcone import (
     free_expansion,
     gap_witness,
     gap_witness_blocks,
+    integer_partitions,
     is_matroid,
     is_p_symmetric,
     is_polymatroid,
     mask_of,
-    phi_map,
     psi_p_hrep,
     restrict,
     to_sym,
     u1_loop,
     u_km,
     uniform,
+    uniform_factor,
     uniform_on_support,
     zhang_yeung_form,
 )
+import symcone.families as families_module
 from symcone.families import random_polymatroid
+from symcone.setfn import consecutive_masks
 
 from conftest import all_set_partitions
 
@@ -74,6 +78,73 @@ class TestUniform:
             uniform(5, 4)
         with pytest.raises(ValueError):
             uniform(-1, 4)
+
+
+class TestUniformFactor:
+    def test_values_subset_by_subset(self):
+        # min(rank, sum of w_b |A & B_b|), evaluated on each subset, on
+        # every canonical partition with n <= 6 and on blocks that are
+        # not consecutive runs
+        rng = random.Random(26)
+        shapes = [canonical_partition(parts) for n in range(1, 7)
+                  for parts in integer_partitions(n)]
+        shapes.append(Partition(GroundSet(5), (mask_of([2, 5]), mask_of([1, 3, 4]))))
+        for p in shapes:
+            for _ in range(4):
+                weights = [rng.randint(0, 3) for _ in p.blocks]
+                top = sum(w * b.bit_count() for w, b in zip(weights, p.blocks))
+                rank = rng.randint(0, top + 1)
+                h = uniform_factor(p, rank, weights)
+                assert h.values == tuple(
+                    min(rank, sum(w * (a & b).bit_count() for w, b in zip(weights, p.blocks)))
+                    for a in p.ground.subsets())
+                assert is_polymatroid(h) and is_p_symmetric(h, p)
+
+    @pytest.mark.parametrize("rank,weights,match", [
+        (2, (1,), "one nonnegative int per block"),
+        (2, (1, 1, 1), "one nonnegative int per block"),
+        (2, (1, -1), "one nonnegative int per block"),
+        (2, (1, 1.0), "one nonnegative int per block"),
+        (2, (1, Fraction(1)), "one nonnegative int per block"),
+        (2, (True, 1), "one nonnegative int per block"),
+        (-1, (1, 1), "rank -1 must be a nonnegative int"),
+        (1.5, (1, 1), "rank 1.5 must be a nonnegative int"),
+    ])
+    def test_errors(self, rank, weights, match):
+        with pytest.raises(ValueError, match=match):
+            uniform_factor(canonical_partition((2, 2)), rank, weights)
+
+    def test_named_functions_are_one_call(self, monkeypatch):
+        calls = []
+
+        def spy(p, rank, weights):
+            calls.append((p.block_sizes, rank, tuple(weights)))
+            return uniform_factor(p, rank, weights)
+
+        monkeypatch.setattr(families_module, "uniform_factor", spy)
+        assert uniform(2, 4).values == build_family("uniform:2,4").values
+        assert u_km(2, 5, 4).values == build_family("ukm:2,5,4").values
+        assert calls == [((4,), 2, (1,))] * 2 + [((1, 3), 2, (2, 1))] * 2
+
+    def test_family_and_uniform_values_pinned(self):
+        # the values of every family member with n <= 7 and of every
+        # uniform matroid on up to 12 elements, one line per function;
+        # the digests were recorded before either was built by
+        # uniform_factor
+        def digest(functions):
+            d = hashlib.sha256()
+            for h in functions:
+                d.update((",".join(map(str, h.values)) + "\n").encode())
+            return d.hexdigest()
+
+        family = [h for n in range(2, 8) for h in family_Un(n)]
+        assert len(family) == 83
+        assert digest(family) == (
+            "4ae7cdcec0cdf70ae3c6aee446ad38eaae7db1caf71f4c0ee3224c1651ed6633")
+        uniforms = [uniform(m, n) for n in range(1, 13) for m in range(n + 1)]
+        assert len(uniforms) == 90
+        assert digest(uniforms) == (
+            "2b14fab91ad00c2a2b41472854ec4eebe435f9a8cba8e59887d629b0e42c8e09")
 
 
 class TestFreeExpansion:
@@ -172,6 +243,31 @@ class TestUkmFamily:
                     for j1 in (0, 1):
                         for j2 in range(n):
                             assert s[(j1, j2)] == min(k, (m - n + 1) * j1 + j2)
+
+    def test_ukm_is_the_factor_of_the_uniform_matroid(self):
+        # the definition: U_{k,m} built subset by subset on m elements,
+        # pulled back through the map sending element 1 onto the first
+        # m - n + 1 of them and every other element onto one
+        checked = 0
+        for n in range(2, 7):
+            for m in range(n - 1, 2 * n - 1):
+                images = consecutive_masks((m - n + 1,) + (1,) * (n - 1))
+                phi = ExpansionMap(GroundSet(n), GroundSet(m), images)
+                for k in range(max(1, m - n + 1), n):
+                    u = SetFunction(GroundSet(m), tuple(
+                        min(k, a.bit_count()) for a in range(1 << m)))
+                    assert u_km(k, m, n).values == factor(u, phi).values
+                    checked += 1
+        assert checked == sum(len(family_Un_tags(n)) - 1 for n in range(2, 7)) == 50
+
+    def test_ukm_targets_beyond_the_ground_cap(self):
+        # U_{k,m} with m up to 2n - 2 > 12 columns, on n <= 12 elements
+        for n in (8, 12):
+            p = canonical_partition((1, n - 1))
+            for m, k in ((2 * n - 2, n - 1), (n + 5, 6), (n - 1, 1)):
+                s = to_sym(build_family(f"ukm:{k},{m},{n}"), p)
+                assert all(s[(j1, j2)] == min(k, (m - n + 1) * j1 + j2)
+                           for j1 in (0, 1) for j2 in range(n))
 
     def test_ukm_boundary_cases(self):
         assert u_km(2, 4, 4).values == uniform(2, 4).values
@@ -274,12 +370,6 @@ class TestFamilyTags:
         for tag in ("uniform:2", "wat:1,2", "ukm:a,b,c", "uniform"):
             with pytest.raises(ValueError):
                 build_family(tag)
-
-    def test_phi_map_shape(self):
-        phi = phi_map(5, 4)
-        assert phi.images[0] == mask_of([1, 2])
-        assert phi.images[1:] == (mask_of([3]), mask_of([4]), mask_of([5]))
-        assert phi_map(3, 4).images[0] == 0
 
 
 class TestRandomPolymatroid:

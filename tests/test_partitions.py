@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from symcone import (
     GroundSet,
     Partition,
+    UnsupportedSizeError,
     canonical_partition,
     canonical_representatives,
     covers,
@@ -273,3 +276,47 @@ class TestIntegerPartitionOf:
             canonical_partition(parts, ground)
         assert str(err.value) == message
         assert partitions_module._consecutive_partition.cache_info().currsize == 0
+
+    def test_repeat_call_is_one_cache_hit(self, monkeypatch):
+        # a repeat neither validates again nor builds a ground set
+        cached = partitions_module._consecutive_partition
+        first = canonical_partition((2, 3))
+        argsets = (((2, 3),), ((2, 3), GroundSet(5)), ([2, 3],), ((True, 1),))
+        seen = [canonical_partition(*args) for args in argsets]
+        built = []
+        monkeypatch.setattr(partitions_module, "GroundSet", lambda n: built.append(n))
+        monkeypatch.setattr(partitions_module, "consecutive_masks", built.append)
+        for args, p in zip(argsets, seen):
+            before = cached.cache_info()
+            assert canonical_partition(*args) is p
+            after = cached.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert built == []
+        monkeypatch.undo()
+        assert canonical_partition((2, 3), GroundSet(5)) is first
+        # parts of another int type share the object of the int parts
+        assert canonical_partition((True, 1)) is canonical_partition((1, 1))
+        assert canonical_partition((True, 2), GroundSet(3)) is canonical_partition((1, 2))
+
+    @pytest.mark.parametrize("parts,ground,error,message", [
+        ((2.0, 3.0), None, UnsupportedSizeError,
+         "ground set size 5.0 outside supported range 1..12"),
+        ((2.0, 3.0), GroundSet(5), TypeError,
+         "unsupported operand type(s) for <<: 'int' and 'float'"),
+        ((Fraction(2), 3), None, UnsupportedSizeError,
+         "ground set size Fraction(5, 1) outside supported range 1..12"),
+        (([2], [3]), None, TypeError, "'<' not supported between instances of 'list' and 'int'"),
+        ((2, 3), [5], AttributeError, "'list' object has no attribute 'n'"),
+        (5, None, TypeError, "'int' object is not iterable"),
+        ((13,), GroundSet(12), ValueError, "parts do not sum to the ground set size"),
+    ])
+    def test_parts_equal_to_cached_ones_keep_their_errors(self, parts, ground, error, message):
+        # the errors of the validation, in its order, also after equal
+        # int parts have been cached, and nothing is cached for them
+        canonical_partition((2, 3))
+        canonical_partition((12,))
+        size = partitions_module._consecutive_partition.cache_info().currsize
+        with pytest.raises(error) as err:
+            canonical_partition(parts, ground)
+        assert type(err.value) is error and str(err.value) == message
+        assert partitions_module._consecutive_partition.cache_info().currsize == size

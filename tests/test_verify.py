@@ -31,6 +31,7 @@ from symcone import (
     two_block_coarsening,
     u1_loop,
     uniform,
+    uniform_factor,
     uniform_on_support,
     verify_facet_bijection,
     verify_gap,
@@ -41,6 +42,7 @@ import symcone.cone as cone_module
 import symcone.partitions as partitions_module
 import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
+from symcone.partitions import block_map
 from symcone.setfn import elemental_rows
 from symcone.verify import IsolationWitness, run_suite
 
@@ -74,6 +76,17 @@ class TestRayInventories:
         }
         assert got != want
         assert got - want  # the relaxation introduces an alien ray
+
+    def test_singleton_block_rays_from_eight_to_ten_elements(self):
+        # the family members live on n elements although U_{k,m} has up
+        # to 2n - 2 > 12 columns
+        for n, count in ((8, 36), (9, 45), (10, 55)):
+            p = canonical_partition((1, n - 1))
+            got = {r.direction for r in extreme_rays(psi_p_hrep(p))}
+            want = {normalize_ray(to_sym(h, p).free_values()).direction
+                    for h in family_Un(n)}
+            assert len(got) == count and got == want
+            assert verify_psi_1n1(n).passed
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +269,37 @@ class TestIsolations:
         assert count == 1645
         assert digest.hexdigest() == (
             "6f7c02f71d21646fd8431f82bb0a05f52c766d6690462fc6b3fb8b02c991f318")
+
+    def test_non_grid_witnesses_are_uniform_factors(self, monkeypatch):
+        # every witness but the split-pair grid is one uniform_factor
+        # call.  The pairs are those of the benchmark's claim checks:
+        # two-block shapes against the one-block context for n <= 6,
+        # then every cover pair for n <= 5
+        built = []
+
+        def spy(p, rank, weights):
+            built.append(uniform_factor(p, rank, weights))
+            return built[-1]
+
+        monkeypatch.setattr(verify_module, "uniform_factor", spy)
+        pairs = [(p, canonical_partition((n,))) for n in range(2, 7)
+                 for p in canonical_representatives(n) if p.t == 2]
+        pairs += [(p, ctx) for n in range(2, 6) for p in canonical_representatives(n)
+                  for ctx in canonical_representatives(n) if covers(ctx, p)]
+        counts = {"A": 0, "support": 0, "grid": 0}
+        for p, ctx in pairs:
+            posmap = block_map(p, ctx)
+            pair = {i for i, c in enumerate(posmap) if posmap.count(c) == 2}
+            for label in orbit_labels(p):
+                before = len(built)
+                w = build_isolation(p, label, ctx)
+                if {i - 1 for i in label.blocks_touched()} == pair:
+                    counts["grid"] += 1
+                    assert len(built) == before
+                else:
+                    counts["A" if label.kind == "A" else "support"] += 1
+                    assert len(built) == before + 1 and w.function is built[-1]
+        assert counts == {"A": 65, "support": 361, "grid": 115}
 
     def test_all_labels_all_two_block_partitions(self):
         for n in range(2, 7):
@@ -561,6 +605,16 @@ class TestDecompose1n:
                 res = decompose_1n(conic_point(n, weights), n)
                 assert res.feasible
                 assert all(c >= 0 for c in res.coefficients)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_decomposes_beyond_eight_elements(self, n):
+        h = uniform(2, n)
+        res = decompose_1n(h, n)
+        assert res.feasible and all(c >= 0 for c in res.coefficients)
+        target = to_sym(h, canonical_partition((1, n - 1))).free_values()
+        vecs = verify_module._family_vectors(n)
+        assert [sum(c * v[i] for c, v in zip(res.coefficients, vecs))
+                for i in range(len(target))] == list(target)
 
     def test_out_of_cone_gets_certificate(self):
         res = decompose_1n(-1 * u1_loop(4), 4)
