@@ -33,7 +33,6 @@ from .partitions import (
 from .setfn import (
     GroundSet,
     SetFunction,
-    _clear_denominators,
     elements_of,
     form_value,
     polymatroid_violation,
@@ -185,8 +184,11 @@ def verify_facet_bijection(p: Partition) -> Verdict:
 
 
 def two_block_coarsening(p: Partition) -> Optional[Partition]:
-    """A coarsening of p into two groups of blocks, both of size >= 2."""
-    for pick in range(1, 1 << (p.t - 1)):  # block 0 always in the first group
+    """The first split of p's blocks into two groups of >= 2 elements
+    each, else None.  Block 0 is in the first group, block i + 1 when
+    bit i of `pick` is set; `pick` runs 0 .. 2**(t-1) - 2, so a
+    two-block partition comes back as its own blocks."""
+    for pick in range((1 << (p.t - 1)) - 1):
         sel = pick << 1 | 1
         first = sum(b for i, b in enumerate(p.blocks) if sel >> i & 1)
         second = p.ground.full_mask ^ first
@@ -195,26 +197,33 @@ def two_block_coarsening(p: Partition) -> Optional[Partition]:
     return None
 
 
+def _witness_vector(h: SetFunction, p: Partition) -> tuple:
+    """`(counterexample, vec)`, the gate of every witness check: the first
+    violated facet unless h is a polymatroid, else the partition unless
+    h is p-symmetric, else None and the reduced vector of h."""
+    bad = polymatroid_violation(h)
+    if bad is not None:
+        return {"violated": str(bad)}, None
+    try:
+        return None, to_sym(h, p).free_values()
+    except SymmetryError:
+        return {"symmetry": str(p)}, None
+
+
 def verify_gap(p: Partition) -> Verdict:
     """A symmetric polymatroid in the reduced cone violating the
     four-variable non-Shannon inequality, with two roles taken from
-    each block of a two-block coarsening.
-
-    Applicable to two-block partitions with both blocks >= 2 and to
-    finer partitions coarsenable to one; for the one-block partition or
-    a two-block partition with a singleton block no such witness exists
-    (those cones are exactly the closed symmetric entropic regions), so
-    the request is rejected.
+    each block of `two_block_coarsening(p)`, the one test of
+    applicability: a verdict exists exactly when some split of p's
+    blocks has both sides >= 2, and the request is rejected otherwise.
+    For the one-block partition or a two-block partition with a
+    singleton block no such witness exists (those cones are exactly
+    the closed symmetric entropic regions).
     """
-    if p.t == 2 and min(p.block_sizes) >= 2:
-        coarse = p
-    elif p.t >= 3:
-        coarse = two_block_coarsening(p)
-        if coarse is None:
-            raise ValueError(
-                f"no two-block coarsening of {p} has both blocks of size >= 2"
-            )
-    else:
+    coarse = two_block_coarsening(p)
+    if coarse is None and p.t >= 3:
+        raise ValueError(f"no two-block coarsening of {p} has both blocks of size >= 2")
+    if coarse is None:
         raise ValueError(
             "no gap witness exists: with one block, or two blocks one of "
             "which is a singleton, the reduced cone is exactly the closure "
@@ -223,13 +232,9 @@ def verify_gap(p: Partition) -> Verdict:
 
     def run():
         witness = gap_witness_blocks(coarse)
-        bad = polymatroid_violation(witness)
+        bad, vec = _witness_vector(witness, p)
         if bad is not None:
-            return False, {"violated": str(bad)}
-        try:
-            vec = to_sym(witness, p).free_values()
-        except SymmetryError:
-            return False, {"symmetry": str(p)}
+            return False, bad
         if not psi_p_hrep(p).contains(vec):
             return False, {"membership": [str(x) for x in vec]}
         first, second = (elements_of(b)[:2] for b in coarse.blocks)
@@ -266,8 +271,6 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
     for c, ki, kk in zip(posmap, label.lambda_I, label.lambda_K):
         li[c] += ki
         lk[c] += kk
-    if sum(li) == 1:
-        lk = [0] * t2
     return tuple(li), tuple(lk)
 
 
@@ -378,13 +381,9 @@ def check_isolation(w: IsolationWitness) -> Verdict:
     p = w.partition
 
     def run():
-        bad = polymatroid_violation(w.function)
+        bad, vec = _witness_vector(w.function, p)
         if bad is not None:
-            return False, {"violated": str(bad)}
-        try:
-            vec = to_sym(w.function, p).free_values()
-        except SymmetryError:
-            return False, {"symmetry": str(p)}
+            return False, bad
         _, family, labels = _target_family(p, w.target, w.context)
         if family is None:
             return False, {"family": [str(lab) for lab in labels]}
@@ -419,11 +418,11 @@ def _family_vectors(n: int) -> tuple:
     p = canonical_partition((1, n - 1))
     vectors = []
     for h in family_Un(n):
-        ints, m = _clear_denominators(to_sym(h, p).free_values())
-        if m != 1:
+        vec = to_sym(h, p).free_values()
+        if any(x.denominator != 1 for x in vec):
             raise ArithmeticError(f"generator {len(vectors)} of family_Un({n}) "
                                   "is not integer-valued")
-        vectors.append(tuple(ints))
+        vectors.append(tuple(x.numerator for x in vec))
     return tuple(vectors)
 
 

@@ -696,7 +696,6 @@ class TestConicDecompose:
         # internals; only these edges may do so
         allowed = {
             ("cone", "setfn", "_clear_denominators"),
-            ("verify", "setfn", "_clear_denominators"),
             ("verify", "cone", "_eliminate"),
         }
         src = Path(__file__).resolve().parents[1] / "src" / "symcone"

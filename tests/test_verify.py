@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from symcone import (
     Partition,
     Ray,
     SetFunction,
+    SymVector,
     build_isolation,
     canonical_partition,
     canonical_representatives,
@@ -21,12 +23,13 @@ from symcone import (
     extreme_rays,
     family_Un,
     family_Un_tags,
-    gamma_n_hrep,
+    from_sym,
     gap_witness,
     mask_of,
     normalize_ray,
     orbit_labels,
     psi_p_hrep,
+    refines,
     to_sym,
     two_block_coarsening,
     u1_loop,
@@ -39,12 +42,17 @@ from symcone import (
     verify_psi_n,
 )
 import symcone.cone as cone_module
-import symcone.partitions as partitions_module
-import symcone.symmetry as symmetry_module
 import symcone.verify as verify_module
 from symcone.partitions import block_map
-from symcone.setfn import elemental_rows
-from symcone.verify import IsolationWitness, run_suite
+from symcone.verify import GAP_PARTS, IsolationWitness, run_suite
+
+from conftest import all_set_partitions
+
+
+def squared_count(p):
+    """|A|**2 on p's ground set: p-symmetric, but no polymatroid, and
+    the first elemental row it breaks is E(1,2|-) (1 + 1 < 4)."""
+    return from_sym(SymVector(p, tuple(sum(k) ** 2 for k in p.count_tuples)))
 
 
 def conic_point(n, weights):
@@ -193,9 +201,12 @@ class TestGap:
             assert v.passed, v.counterexample
 
     def test_multi_block_coarsens(self):
-        v = verify_gap(canonical_partition((1, 1, 2)))
-        assert v.passed
-        assert v.params["coarsening"] == "1,2|3,4"
+        # block 0 joins block 1 in 1|2|3,4 and stays alone in 1,2|3|4
+        for p in (canonical_partition((1, 1, 2)),
+                  Partition(GroundSet(4), (0b0011, 0b0100, 0b1000))):
+            v = verify_gap(p)
+            assert v.passed
+            assert v.params["coarsening"] == "1,2|3,4"
 
     def test_inapplicable_partitions_rejected(self):
         with pytest.raises(ValueError):
@@ -216,10 +227,58 @@ class TestGap:
         assert not v.passed
         assert v.counterexample == {"symmetry": str(p)}
 
+    def test_non_polymatroid_witness_fails(self, monkeypatch):
+        # the polymatroid half of the witness gate, before symmetry
+        monkeypatch.setattr(verify_module, "gap_witness_blocks", squared_count)
+        v = verify_gap(canonical_partition((2, 2)))
+        assert not v.passed
+        assert v.counterexample == {"violated": "E(1,2|-)"}
+
+    def test_inapplicable_messages(self):
+        theorem = ("no gap witness exists: with one block, or two blocks one of "
+                   "which is a singleton, the reduced cone is exactly the closure "
+                   "of the symmetric entropic region")
+        for parts, message in (((3,), theorem), ((1, 2), theorem), (
+                (1, 1, 1), "no two-block coarsening of 1|2|3 has both blocks of size >= 2")):
+            with pytest.raises(ValueError) as info:
+                verify_gap(canonical_partition(parts))
+            assert str(info.value) == message
+
     def test_coarsening_search(self):
         assert two_block_coarsening(canonical_partition((1, 1, 1))) is None
         q = two_block_coarsening(canonical_partition((1, 1, 1, 1)))
         assert q is not None and sorted(q.block_sizes) == [2, 2]
+        for parts in GAP_PARTS:
+            p = canonical_partition(parts)
+            assert two_block_coarsening(p) == p
+
+    def test_coarsening_search_against_every_grouping(self):
+        # every set partition with n <= 6: the search finds the first
+        # grouping, in order of the selection mask with block 0 set,
+        # whose two sides both have >= 2 elements
+        with_split = without_split = 0
+        for n in range(1, 7):
+            for p in all_set_partitions(n):
+                full = p.ground.full_mask
+                firsts = [
+                    sum(b for i, b in enumerate(p.blocks) if sel >> i & 1)
+                    for sel in range(1, 1 << p.t, 2)
+                ]
+                splits = [f for f in firsts
+                          if f.bit_count() >= 2 and (full ^ f).bit_count() >= 2]
+                q = two_block_coarsening(p)
+                if not splits:
+                    assert q is None, str(p)
+                    with pytest.raises(ValueError):
+                        verify_gap(p)
+                    without_split += 1
+                    continue
+                assert q.blocks == (splits[0], full ^ splits[0]), str(p)
+                assert refines(p, q) and min(q.block_sizes) >= 2
+                v = verify_gap(p)
+                assert v.passed, (str(p), v.counterexample)
+                with_split += 1
+        assert (with_split, without_split) == (252, 26)
 
 
 class TestIsolations:
@@ -377,12 +436,14 @@ class TestIsolations:
                 run_suite(n_max)
 
     def test_suite_repeats_cold_and_warm(self):
-        # the cone and label builders keep what they build; a run that
-        # finds them filled must give the verdicts of one that fills them
-        for builder in (psi_p_hrep, gamma_n_hrep, symmetry_module._orbit_labels,
-                        elemental_rows, partitions_module._count_index,
-                        verify_module._context_families, verify_module._family_vectors):
-            builder.cache_clear()
+        # the package's builders keep what they build; a run that finds
+        # them filled must give the verdicts of one that finds every
+        # cache, wherever it is bound, empty
+        for name, mod in sorted(sys.modules.items()):
+            if name.startswith("symcone."):
+                for val in vars(mod).values():
+                    if callable(getattr(val, "cache_info", None)):
+                        val.cache_clear()
         cold, warm = ([(v.claim, v.params, v.passed) for v in run_suite(4)]
                       for _ in range(2))
         assert cold == warm
@@ -408,6 +469,14 @@ class TestIsolations:
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample == {"symmetry": str(p)}
+
+    def test_non_polymatroid_witness_fails(self):
+        p = canonical_partition((2, 2))
+        target = OrbitLabel((1, 0), (0, 0))
+        bad = IsolationWitness(p, target, canonical_partition((4,)), squared_count(p))
+        v = check_isolation(bad)
+        assert not v.passed
+        assert v.counterexample == {"violated": "E(1,2|-)"}
 
     def test_witness_strict_on_another_family_row_fails(self):
         p = canonical_partition((2, 2))
