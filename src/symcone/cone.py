@@ -15,10 +15,11 @@ transpose of the tight masks: each is written as a fixed-width binary
 string, `zip` takes the columns and `int(..., 2)` reads each back.
 Membership tests scale each input to integers once, in one
 `as_integer_ratio()` pass, and take integer dot products.  Every
-row of the cones built here has at most four nonzero terms, so each
-cone evaluates its rows through one fixed-arity row kernel: membership,
-row values and the values of an inserted row over the current rays
-all read it.  A cone with a longer row keeps a sparse loop.  Conic
+row of the cones built here is an elemental inequality, at most two
++1 and two -1 unit terms, so each cone evaluates its rows through one
+unit-term kernel, `x[i] + x[j] - x[k] - x[l]`: membership, row values
+and the values of an inserted row over the current rays all read it.
+A cone with any other row keeps a sparse loop.  Conic
 decomposition is a phase-1 simplex with Bland's rule on a
 fraction-free integer tableau; infeasibility yields a separating
 functional.  The elimination and the simplex update rows through one
@@ -122,11 +123,13 @@ class HCone:
     cones, subset masks for the full cone).  A row tuple of ints that
     normalizing leaves unchanged is kept as given, so cones built from
     another cone's rows share them.  The rows are evaluated through a
-    kernel built on first use: when no row has more than four nonzero
-    terms, each row is one flat `(i, a, j, b, k, c, l, e)` int tuple,
-    padded with zero terms at index 0, and its value at x is
-    `a*x[i] + b*x[j] + c*x[k] + e*x[l]`; otherwise every row is
-    summed over its `(index, coeff)` pairs.
+    kernel built on first use: when every row is at most two +1 and two
+    -1 unit terms, a coefficient of +-2 being its index twice, each row
+    is one `(i, j, k, l)` and its value at x is
+    `x[i] + x[j] - x[k] - x[l]`, a missing term pointing at a zero slot
+    appended to x at index `dim`; otherwise every row is summed over
+    its `(index, coeff)` pairs.  `extreme_rays` sums a kernel row with
+    a missing term over its pairs too, so its rays carry no zero slot.
     """
 
     dim: int
@@ -161,14 +164,20 @@ class HCone:
 
     @cached_property
     def _kernel(self) -> Optional[tuple]:
-        """The flat four-term row tuples, or None if a row is longer;
-        built from the rows, so a kernel cone never builds `_sparse`."""
-        flat = []
+        """One `(i, j, k, l)` per row, its value `x[i] + x[j] - x[k] - x[l]`,
+        or None if a row is not of that form; built from the rows, so
+        `contains` and `row_values` on a kernel cone never build `_sparse`."""
+        flat, pad = [], [self.dim] * 2
         for coeffs, _ in self.rows:
-            terms = [t for i, c in enumerate(coeffs) if c for t in (i, c)]
-            if len(terms) > 8:
+            plus, minus = [], []
+            for i, c in enumerate(coeffs):
+                if c:
+                    if not -2 <= c <= 2:
+                        return None
+                    (plus if c > 0 else minus).extend((i,) * abs(c))
+            if len(plus) > 2 or len(minus) > 2:
                 return None
-            flat.append(tuple(terms) + (0,) * (8 - len(terms)))
+            flat.append(tuple((plus + pad)[:2] + (minus + pad)[:2]))
         return tuple(flat)
 
     def _scaled(self, v: Sequence) -> tuple:
@@ -186,8 +195,8 @@ class HCone:
         if kernel is None:
             sums = [sum(c * x[i] for i, c in sparse) for sparse in self._sparse]
         else:
-            sums = [a * x[i] + b * x[j] + c * x[k] + e * x[l]
-                    for i, a, j, b, k, c, l, e in kernel]
+            x.append(0)
+            sums = [x[i] + x[j] - x[k] - x[l] for i, j, k, l in kernel]
         if all(isinstance(y, int) for y in vals):
             return sums
         return [Fraction(s, m) for s in sums]
@@ -198,8 +207,9 @@ class HCone:
         if kernel is None:
             return all(sum(c * x[i] for i, c in sparse) >= 0
                        for sparse in self._sparse)
-        for i, a, j, b, k, c, l, e in kernel:
-            if a * x[i] + b * x[j] + c * x[k] + e * x[l] < 0:
+        x.append(0)
+        for i, j, k, l in kernel:
+            if x[i] + x[j] < x[k] + x[l]:
                 return False
         return True
 
@@ -425,11 +435,11 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     for row in range(len(all_rows)):
         if basis_mask >> row & 1:
             continue
-        if kernel is None:
+        if kernel is None or d in kernel[row]:
             vals = [sum(a * r[k] for k, a in c._sparse[row]) for r in rays]
         else:
-            i, a, j, b, k, e, l, f = kernel[row]
-            vals = [a * r[i] + b * r[j] + e * r[k] + f * r[l] for r in rays]
+            i, j, k, l = kernel[row]
+            vals = [r[i] + r[j] - r[k] - r[l] for r in rays]
         bit = 1 << row
         pos = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
@@ -498,16 +508,19 @@ def conic_decompose(v: Sequence, generators: Sequence) -> DecomposeResult:
     G c + D a = v, c, a >= 0; a positive optimum yields the separating
     functional from the final multipliers.  The target and each
     generator are scaled to integers by their own positive factors,
-    which changes no pivot choice.  The tableau, objective row last, is
-    kept as integers over one common denominator `den`, the determinant
-    of the current basis: each `_pivot` divides exactly by the previous
-    `den` (Bareiss, as in lrs), and the ratio test cross-multiplies.
+    which changes no pivot choice; a generator of ints is kept as
+    given.  The tableau, objective row last, is kept as integers over
+    one common denominator `den`, the determinant of the current basis:
+    each `_pivot` divides exactly by the previous `den` (Bareiss, as in
+    lrs), and the ratio test cross-multiplies.
     """
     rhs, t_scale = _clear_denominators(v)
     d = len(rhs)
     cols, g_scale = [], []
     for g in generators:
-        ints, m = _clear_denominators(_generator_vector(g, d))
+        vec = _generator_vector(g, d)
+        ints, m = ((vec, 1) if set(map(type, vec)) == {int}
+                   else _clear_denominators(vec))
         cols.append(ints)
         g_scale.append(m)
     k = len(cols)

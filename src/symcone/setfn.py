@@ -312,10 +312,11 @@ def elemental_count(n: int) -> int:
 
 def polymatroid_violation(f: SetFunction) -> Optional[FacetId]:
     """First elemental inequality violated by `f`, or None if none is:
-    one scan of `elemental_rows` on the values scaled to integers."""
+    one scan of `elemental_rows` on the values scaled to integers,
+    testing h(a) + h(b) < h(c) + h(d)."""
     vals, _ = f._scaled
     for fid, (a, b, c, d) in elemental_rows(f.ground).items():
-        if vals[a] + vals[b] - vals[c] - vals[d] < 0:
+        if vals[a] + vals[b] < vals[c] + vals[d]:
             return fid
     return None
 

@@ -21,6 +21,7 @@ from symcone import (
     canonical_partition,
     canonical_representatives,
     conic_decompose,
+    covers,
     decompose_1n,
     elemental_count,
     extreme_rays,
@@ -35,10 +36,12 @@ from symcone import (
     u1_loop,
     uniform,
 )
+import symcone.cone as cone_module
 from symcone.cone import _eliminate, _incidence
 from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import FacetId, elemental_rows
 from symcone.symmetry import facet_orbit_label
+from symcone.verify import _context_families
 
 from conftest import (
     brute_force_rays,
@@ -293,6 +296,29 @@ def seeded_cone(dim, max_terms, seed):
     return HCone(dim, tuple((row, i) for i, row in enumerate(rows)))
 
 
+def seeded_unit_cone(dim, seed):
+    """A pointed cone whose every row is at most two +1 and two -1 unit
+    terms: two seeded rows of each shape below, unbalanced ones such as
+    2[s] - [t] and [s1] + [s2] - [t] among them, each oriented to keep a
+    random positive point inside, then the unit rows.  The unit rows
+    come last, so some are inserted by double description."""
+    rng = random.Random(seed)
+    inside = [rng.randint(1, 3) for _ in range(dim)]
+    rows = []
+    for shape in ((2, -1), (1, 1, -1), (1, 1, -1, -1), (2, -1, -1),
+                  (1, 1, -2), (1, -1)):
+        for _ in range(2):
+            row = [0] * dim
+            for j, c in zip(rng.sample(range(dim), len(shape)), shape):
+                row[j] = c
+            if sum(a * b for a, b in zip(row, inside)) < 0:
+                row = [-a for a in row]
+            if tuple(row) not in rows:
+                rows.append(tuple(row))
+    rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return HCone(dim, tuple((row, i) for i, row in enumerate(rows)))
+
+
 def zero_rows(cone, direction) -> int:
     """Bitmask of the rows of `cone` that vanish at `direction`, in Fractions."""
     rows = [coeffs for coeffs, _ in cone.rows]
@@ -498,7 +524,7 @@ class TestContains:
         return [psi_p_hrep(canonical_partition(parts))
                 for parts in ((1, 2), (2, 2), (1, 1, 2), (1, 4), (3,))] + [
             gamma_n_hrep(GroundSet(3)), gamma_n_hrep(GroundSet(4)),
-            seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)]
+            seeded_unit_cone(6, 3), seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)]
 
     def test_random_vectors_match_fraction_reference(self, rng):
         """Mixed denominators and negative entries, and int-only vectors."""
@@ -529,24 +555,65 @@ class TestContains:
 
 
 class TestRowKernel:
-    """Rows of at most four nonzero terms take the flat kernel; a cone
-    with a longer row takes the sparse loop.  `TestContains` checks both
-    paths against the Fraction reference."""
+    """Rows of at most two +1 and two -1 unit terms take the `(i, j, k, l)`
+    kernel; a cone with any other row takes the sparse loop.
+    `TestContains` checks both paths against the Fraction reference."""
 
     def test_seeded_cones_take_both_paths(self):
-        short, long = seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)
-        assert short.contains((0,) * 6) and long.contains((0,) * 6)
-        assert short._kernel is not None and "_sparse" not in vars(short)
-        assert long._kernel is None
+        unit = seeded_unit_cone(6, 3)
+        coeffs = [row for row, _ in unit.rows]
+        assert any(sorted(r) == [-1, 0, 0, 0, 0, 2] for r in coeffs)
+        assert any(sorted(r) == [-1, 0, 0, 0, 1, 1] for r in coeffs)
+        assert unit.contains((0,) * 6) and unit.row_values((1,) * 6)
+        assert unit._kernel is not None and "_sparse" not in vars(unit)
+        # both draw coefficients of 3, so neither is of the unit form
+        for cone in (seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)):
+            assert cone.contains((0,) * 6)
+            assert cone._kernel is None
+
+    def test_kernel_rows(self):
+        """A missing term is the zero slot at index `dim`; a coefficient
+        of +-2 is its index twice."""
+        rows = ((2, -1, 0), (1, 1, -1), (1, 0, 0), (0, -1, 0),
+                (1, -1, 0), (-2, 1, 1), (-1, 0, 2), (1, 1, -2))
+        cone = HCone(3, tuple((r, i) for i, r in enumerate(rows)))
+        assert cone._kernel == ((0, 0, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3),
+                                (3, 3, 1, 3), (0, 3, 1, 3), (1, 2, 0, 0),
+                                (2, 2, 0, 3), (0, 1, 2, 2))
+
+    @pytest.mark.parametrize("row", [
+        (3, -1, 0, 0), (-3, 1, 1, 0), (1, 1, 1, -1), (-1, -1, -1, 1),
+        (1, 0, 0, -10 ** 12), (10 ** 12, 0, 0, 1)])
+    def test_other_rows_take_the_sparse_path(self, row, rng):
+        """A coefficient beyond +-2 gives None before it is expanded into
+        indices, so 10**12 builds no list."""
+        rows = tuple((r, i) for i, r in enumerate(
+            [tuple(int(i == j) for j in range(4)) for i in range(4)] + [row]))
+        cone = HCone(4, rows)
+        assert cone._kernel is None
+        for _ in range(20):
+            TestContains.assert_matches_reference(
+                cone, [Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(4)])
 
     def test_built_cones_take_the_kernel_path(self):
-        for n in range(1, 7):
+        """Every row builder of the package leaves rows of the unit form."""
+        for n in range(1, 8):
             assert gamma_n_hrep(GroundSet(n))._kernel is not None
             for p in canonical_representatives(n):
                 assert psi_p_hrep(p)._kernel is not None
+        families = 0
+        for n in range(2, 6):
+            reps = canonical_representatives(n)
+            for p in reps:
+                for ctx in reps:
+                    if covers(ctx, p):
+                        for family in _context_families(p, ctx)[1].values():
+                            assert family._kernel is not None
+                            families += 1
+        assert families > 0
 
     def test_seeded_cones_match_brute_force_rays(self):
-        for cone in (seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)):
+        for cone in (seeded_unit_cone(6, 3), seeded_cone(6, 4, 1), seeded_cone(6, 6, 2)):
             rows = [coeffs for coeffs, _ in cone.rows]
             rays = extreme_rays(cone)
             assert len(rays) > 6
@@ -780,6 +847,23 @@ class TestConicDecompose:
                 assert decompose_1n(h, n) == want
                 outcomes.add(want.feasible)
         assert outcomes == {True, False}
+
+    def test_int_generators_are_kept_as_given(self, monkeypatch):
+        """Only the target and a generator with a non-int entry are
+        scaled; the answer is the Fraction simplex's."""
+        scaled = []
+
+        def spy(vec):
+            scaled.append(tuple(vec))
+            return clear(vec)
+
+        clear = cone_module._clear_denominators
+        monkeypatch.setattr(cone_module, "_clear_denominators", spy)
+        gens = [(2, 0, 1), Ray((0, 1, 1)), (Fraction(1, 2), 1, 0), (True, 0, 0)]
+        for target in ((Fraction(5, 2), 2, 1), (-1, 1, 0)):
+            scaled.clear()
+            assert conic_decompose(target, gens) == fraction_conic_decompose(target, gens)
+            assert scaled == [target, gens[2], gens[3]]
 
     def test_empty_generator_list(self):
         res = conic_decompose((0, 0), [])

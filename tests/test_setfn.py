@@ -191,13 +191,22 @@ class TestPolymatroidChecks:
 
     def test_first_violation_matches_fraction_reference(self, rng):
         """Same first violated facet as a Fraction scan, on mixed-denominator
-        and negative values, and on polymatroids nudged off a face."""
+        and negative values, on small values that violate several rows and
+        leave others exactly tight, and on polymatroids nudged off a face."""
         seen = set()
+        several = 0
         for n in (1, 2, 3, 4, 5):
             ground = GroundSet(n)
             for _ in range(60):
-                if rng.random() < 0.3:
+                kind = rng.random()
+                if kind < 0.3:
                     f = random_rational_function(ground, rng)
+                elif kind < 0.5:
+                    f = SetFunction(ground, (0,) + tuple(
+                        Fraction(rng.randint(-2, 5), rng.randint(1, 2))
+                        for _ in range(ground.full_mask)))
+                    several += sum(f(a) + f(b) < f(c) + f(d) for a, b, c, d
+                                   in elemental_rows(ground).values()) > 1
                 else:
                     f = random_polymatroid(ground, rng)
                     if rng.random() < 0.8:
@@ -209,7 +218,7 @@ class TestPolymatroidChecks:
                 got = polymatroid_violation(f)
                 assert want == (None if got is None else (got.I, got.K))
                 seen.add(None if want is None else want[1] != 0)
-        assert seen == {None, False, True}
+        assert seen == {None, False, True} and several > 20
 
 
 class TestMutualInfo:
