@@ -44,7 +44,7 @@ def _parse_partition(args, ground=None) -> Partition:
             raise ValueError("--n is required for this subcommand")
         ground = GroundSet(args.n)
     if args.partition is None:
-        return canonical_partition((ground.n,), ground)
+        return canonical_partition((ground.n,))
     return Partition.parse(args.partition, ground)
 
 

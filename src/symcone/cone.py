@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, prod
+from math import gcd
 from typing import Optional, Sequence
 
 from .partitions import Partition
@@ -242,22 +242,20 @@ def psi_p_hrep(p: Partition) -> HCone:
     Coordinates are `p.count_tuples` except the all-zero origin; the
     origin coordinate is identically zero, so its coefficient is
     dropped.  Write [x] for the coordinate at position x of
-    `p.count_tuples`, r for the position of lambda_K, s_l for the
-    stride of block l in that order (adding 1 to k_l adds s_l to the
-    position) and `top` for the position of the full tuple
-    (n_1, ..., n_t).  The row of each label is, in closed form:
+    `p.count_tuples`, r for the position of lambda_K, s_l for
+    `p.strides[l]` (adding 1 to k_l adds s_l to the position) and `top`
+    for the position of the full tuple (n_1, ..., n_t).  The row of each
+    label is, in closed form:
 
     - A, block l:          [top] - [top - s_l];
     - B, blocks l1 < l2:   [r + s_l1] + [r + s_l2] - [r] - [r + s_l1 + s_l2];
     - C, block l:          2 [r + s_l] - [r] - [r + 2 s_l].
     """
-    sizes = p.block_sizes
-    strides = [prod(s + 1 for s in sizes[l + 1:]) for l in range(p.t)]
     coords = p.count_tuples[1:]
     top = len(coords)
     rows = []
     for label in orbit_labels(p):
-        touched = [strides[i - 1] for i in label.blocks_touched()]
+        touched = [p.strides[i - 1] for i in label.blocks_touched()]
         r = p.count_positions[label.lambda_K]
         if label.kind == "A":
             (s,) = touched

@@ -72,8 +72,8 @@ def uniform(m: int, n: int) -> SetFunction:
     """Uniform matroid rank min(m, |A|)."""
     if not 0 <= m <= n:
         raise ValueError(f"rank {m} out of range for {n} elements")
-    # GroundSet(n) first: n = 0 is a ground-set size error, not a bad part
-    return uniform_factor(canonical_partition((n,), GroundSet(n)), m, (1,))
+    GroundSet(n)  # n = 0 is a ground-set size error, not a bad part
+    return uniform_factor(canonical_partition((n,)), m, (1,))
 
 
 def uniform_on_support(rank: int, support: int, ground: GroundSet) -> SetFunction:

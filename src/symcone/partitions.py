@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import product
+from math import prod
 from operator import index
 from typing import Optional
 
@@ -54,6 +55,14 @@ class Partition:
         """The count tuples (k_1, ..., k_t), 0 <= k_i <= n_i, in
         lexicographic order: the coordinates of the reduced space."""
         return tuple(product(*(range(s + 1) for s in self.block_sizes)))
+
+    @cached_property
+    def strides(self) -> tuple:
+        """s_l = prod_{m > l} (n_m + 1), the one statement of the layout of
+        `count_tuples`: adding 1 to k_l adds s_l to a tuple's index, so
+        the count tuple of a mask sits at sum_l s_l |mask & B_l|."""
+        sizes = self.block_sizes
+        return tuple(prod(s + 1 for s in sizes[l + 1:]) for l in range(self.t))
 
     @cached_property
     def count_positions(self) -> dict:
@@ -106,13 +115,15 @@ class Partition:
 
 @cache
 def _count_index(p: Partition) -> tuple:
-    """`Partition.count_index`, shared by equal partitions."""
+    """`Partition.count_index`, shared by equal partitions: the position
+    of each mask is sum_l s_l |mask & B_l| over `p.strides`."""
+    pairs = tuple(zip(p.strides, p.blocks))
     position = []
     smallest = {}
     for mask in p.ground.subsets():
         r = 0
-        for b in p.blocks:
-            r = r * (b.bit_count() + 1) + (mask & b).bit_count()
+        for s, b in pairs:
+            r += s * (mask & b).bit_count()
         position.append(r)
         smallest.setdefault(r, mask)
     return tuple(position), tuple(smallest[r] for r in range(len(smallest)))
@@ -179,44 +190,28 @@ def integer_partitions(n: int) -> tuple:
     return tuple(parts)
 
 
-def canonical_partition(parts, ground: GroundSet = None) -> Partition:
-    """Partition with consecutive blocks of the given sizes.
-
-    `ground` defaults to `GroundSet(sum(parts))`.  Equal arguments give
-    one shared object, built on first use: `canonical_partition((2, 3))`,
-    `canonical_partition([2, 3])` and `canonical_partition((2, 3),
-    GroundSet(5))` are the same `Partition`, so its cached properties
-    and text are computed once and the caches it keys compare it by
-    identity.  A repeated call costs one cache lookup; arguments that
-    raise are never cached."""
-    parts = tuple(parts)
-    try:
-        return _consecutive_partition(ground, *parts)
-    except TypeError:  # unhashable arguments raise what validation raises
-        return _consecutive_partition.__wrapped__(ground, *parts)
+def canonical_partition(parts) -> Partition:
+    """Partition of `GroundSet(sum(parts))` into consecutive blocks of the
+    given sizes.  Each part goes through `operator.index`, and the int
+    tuple keys one object built on first use: `(2, 3)`, `[2, 3]` and
+    `iter((2, 3))` give the same `Partition`, as `(True, 1)` and `(1, 1)`
+    do, so its cached properties are computed once and the caches it keys
+    compare it by identity.  A repeat call is one cache lookup; parts
+    that raise are never cached."""
+    return _consecutive_partition(tuple(map(index, parts)))
 
 
-@lru_cache(maxsize=None, typed=True)
-def _consecutive_partition(ground, *parts) -> Partition:
-    """`canonical_partition`, keyed by the type of each part too.  Only int
-    parts with no ground build a `Partition`; other valid calls share it."""
+@cache
+def _consecutive_partition(parts: tuple) -> Partition:
+    """`canonical_partition` of a tuple of ints: validated and built once."""
     if any(q < 1 for q in parts):
         raise ValueError("parts must be positive")
     if list(parts) != sorted(parts):
         raise ValueError("parts must be nondecreasing")
-    n = sum(parts)
-    plain = ground is None and all(type(q) is int for q in parts)
-    if ground is None:
-        ground = GroundSet(n)
-    elif ground.n != n:
-        raise ValueError("parts do not sum to the ground set size")
-    blocks = consecutive_masks(parts)
-    if not plain:
-        return _consecutive_partition(None, *map(index, parts))
-    return Partition(ground, blocks)
+    return Partition(GroundSet(sum(parts)), consecutive_masks(parts))
 
 
 def canonical_representatives(n: int) -> list:
     """One consecutive-block partition per integer partition of n."""
-    ground = GroundSet(n)
-    return [canonical_partition(parts, ground) for parts in integer_partitions(n)]
+    GroundSet(n)  # an n out of range is a ground-set size error
+    return [canonical_partition(parts) for parts in integer_partitions(n)]

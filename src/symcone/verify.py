@@ -31,6 +31,7 @@ from .partitions import (
     covers,
 )
 from .setfn import (
+    DENSE_GROUND_CAP,
     GroundSet,
     SetFunction,
     elements_of,
@@ -100,19 +101,17 @@ def _uncertified_ray(cone, rays):
     return None
 
 
-def _ray_set_comparison(cone, expected_functions, p):
-    """Certify each enumerated ray, then compare the rays against
-    normalized reduced vectors.  Returns `(counterexample, tights)`: on
-    success None and the certified `tight` mask of each expected
-    function's ray, in input order."""
+def _ray_set_comparison(cone, vectors):
+    """Certify each enumerated ray, then compare the rays against the
+    normalized reduced `vectors`.  Returns `(counterexample, tights)`: on
+    success None and the certified `tight` mask of each vector's ray, in
+    input order."""
     rays = extreme_rays(cone)
     bad = _uncertified_ray(cone, rays)
     if bad is not None:
         return {"uncertified_ray": list(bad.direction)}, None
     got = {r.direction: r.tight for r in rays}
-    want = [
-        normalize_ray(to_sym(h, p).free_values()).direction for h in expected_functions
-    ]
+    want = [normalize_ray(vec).direction for vec in vectors]
     if got.keys() == set(want):
         return None, [got[w] for w in want]
     return {
@@ -131,7 +130,8 @@ def verify_psi_n(n: int) -> Verdict:
     cone = psi_p_hrep(p)
 
     def run():
-        bad, tights = _ray_set_comparison(cone, [uniform(m, n) for m in range(1, n + 1)], p)
+        bad, tights = _ray_set_comparison(
+            cone, [to_sym(uniform(m, n), p).free_values() for m in range(1, n + 1)])
         if bad is not None:
             return False, bad
         labels = [label for _, label in cone.rows]
@@ -154,10 +154,10 @@ def verify_psi_1n1(n: int) -> Verdict:
     cone = psi_p_hrep(p)
 
     def run():
-        family = family_Un(n)
-        if len(family) != 1 + (n - 1) + n * (n - 1) // 2:
-            return False, {"family_size": len(family)}
-        bad, _ = _ray_set_comparison(cone, family, p)
+        vectors = _family_vectors(n)
+        if len(vectors) != 1 + (n - 1) + n * (n - 1) // 2:
+            return False, {"family_size": len(vectors)}
+        bad, _ = _ray_set_comparison(cone, vectors)
         return bad is None, bad
 
     return _timed("two-block-rays", {"n": n}, run)
@@ -453,10 +453,13 @@ def run_suite(n_max: int = 5, seed: int = 0) -> list:
     rays, the facet bijection and the isolation witnesses are checked
     up to min(n_max, 5); the gap witnesses on `GAP_PARTS` and the
     decompositions for n = 3, 4 (five random points each, from
-    `seed`) at every n_max.  An n_max below 2 raises ValueError.
+    `seed`) at every n_max.  An n_max below 2 or above
+    `DENSE_GROUND_CAP` raises ValueError.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if n_max > DENSE_GROUND_CAP:
+        raise ValueError(f"n_max must be at most {DENSE_GROUND_CAP}, got {n_max}")
     small = min(n_max, 5)
     verdicts = []
     for n in range(2, n_max + 1):

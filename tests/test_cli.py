@@ -345,6 +345,14 @@ class TestVerifySubcommand:
             "error: n_max must be at least 2, got -3"
         ]
 
+    def test_n_max_above_the_cap_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "13", "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: n_max must be at most 12, got 13"
+        ]
+
 
 class TestJsonSchemas:
     def test_every_subcommand_emits_parseable_json(self, capsys, witness_file, tmp_path):

@@ -894,7 +894,7 @@ class TestRelabeledBlocks:
         g = GroundSet(4)
         from symcone import Partition
 
-        canonical = canonical_partition((2, 2), g)
+        canonical = canonical_partition((2, 2))
         interleaved = Partition.parse("1,3|2,4", g)
         assert facet_reduction_check(interleaved)
         a = extreme_rays(psi_p_hrep(canonical))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -179,6 +180,8 @@ class TestCountIndex:
                 assert p.count_index == (
                     tuple(position), tuple(smallest[r] for r in sorted(smallest)))
                 assert sorted(smallest) == list(range(len(p.count_tuples)))
+                for k in p.count_tuples:
+                    assert p.count_tuples[sum(map(mul, p.strides, k))] == k
 
     def test_equal_partitions_share_one_index(self):
         g = GroundSet(5)
@@ -253,7 +256,6 @@ class TestIntegerPartitionOf:
         first = canonical_partition((2, 3))
         assert canonical_partition([2, 3]) is first
         assert canonical_partition(iter((2, 3))) is first
-        assert canonical_partition((2, 3), GroundSet(5)) is first
         assert canonical_representatives(5)[2] is first
         assert canonical_partition((1, 4)) is not first
         for n in range(1, 8):
@@ -263,60 +265,59 @@ class TestIntegerPartitionOf:
                 assert p == fresh and hash(p) == hash(fresh)
                 assert str(p) == str(fresh)
 
-    @pytest.mark.parametrize("parts,ground,message", [
-        ((2, 1), None, "parts must be nondecreasing"),
-        ((0, 2), None, "parts must be positive"),
-        ((-1, 2), None, "parts must be positive"),
-        ((2, 2), GroundSet(5), "parts do not sum to the ground set size"),
-        ((13,), None, "ground set size 13 outside supported range 1..12"),
+    @pytest.mark.parametrize("parts,message", [
+        ((2, 1), "parts must be nondecreasing"),
+        ((0, 2), "parts must be positive"),
+        ((-1, 2), "parts must be positive"),
+        ((13,), "ground set size 13 outside supported range 1..12"),
     ])
-    def test_bad_parts_raise_and_cache_nothing(self, parts, ground, message):
+    def test_bad_parts_raise_and_cache_nothing(self, parts, message):
         partitions_module._consecutive_partition.cache_clear()
         with pytest.raises(ValueError) as err:
-            canonical_partition(parts, ground)
+            canonical_partition(parts)
         assert str(err.value) == message
         assert partitions_module._consecutive_partition.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("call,args", [
+        (uniform, (0, 0)),
+        (canonical_representatives, (0,)),
+        (canonical_representatives, (13,)),
+    ])
+    def test_callers_keep_the_ground_set_size_error(self, call, args):
+        with pytest.raises(UnsupportedSizeError, match="^ground set size"):
+            call(*args)
+
     def test_repeat_call_is_one_cache_hit(self, monkeypatch):
-        # a repeat neither validates again nor builds a ground set
+        # a repeat neither validates again nor builds a ground set, and
+        # parts of another int type share the entry of the int parts
         cached = partitions_module._consecutive_partition
+        cached.cache_clear()
         first = canonical_partition((2, 3))
-        argsets = (((2, 3),), ((2, 3), GroundSet(5)), ([2, 3],), ((True, 1),))
-        seen = [canonical_partition(*args) for args in argsets]
+        ones = canonical_partition((1, 1))
         built = []
         monkeypatch.setattr(partitions_module, "GroundSet", lambda n: built.append(n))
         monkeypatch.setattr(partitions_module, "consecutive_masks", built.append)
-        for args, p in zip(argsets, seen):
+        for parts, p in (((2, 3), first), ([2, 3], first), (iter((2, 3)), first),
+                         ((True, 1), ones), ((1, 1), ones)):
             before = cached.cache_info()
-            assert canonical_partition(*args) is p
+            assert canonical_partition(parts) is p
             after = cached.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert built == []
-        monkeypatch.undo()
-        assert canonical_partition((2, 3), GroundSet(5)) is first
-        # parts of another int type share the object of the int parts
-        assert canonical_partition((True, 1)) is canonical_partition((1, 1))
-        assert canonical_partition((True, 2), GroundSet(3)) is canonical_partition((1, 2))
+        assert cached.cache_info().currsize == 2
 
-    @pytest.mark.parametrize("parts,ground,error,message", [
-        ((2.0, 3.0), None, UnsupportedSizeError,
-         "ground set size 5.0 outside supported range 1..12"),
-        ((2.0, 3.0), GroundSet(5), TypeError,
-         "unsupported operand type(s) for <<: 'int' and 'float'"),
-        ((Fraction(2), 3), None, UnsupportedSizeError,
-         "ground set size Fraction(5, 1) outside supported range 1..12"),
-        (([2], [3]), None, TypeError, "'<' not supported between instances of 'list' and 'int'"),
-        ((2, 3), [5], AttributeError, "'list' object has no attribute 'n'"),
-        (5, None, TypeError, "'int' object is not iterable"),
-        ((13,), GroundSet(12), ValueError, "parts do not sum to the ground set size"),
+    @pytest.mark.parametrize("parts,message", [
+        ((2.0, 3.0), "'float' object cannot be interpreted as an integer"),
+        ((Fraction(2), 3), "'Fraction' object cannot be interpreted as an integer"),
+        (([2], [3]), "'list' object cannot be interpreted as an integer"),
+        (5, "'int' object is not iterable"),
     ])
-    def test_parts_equal_to_cached_ones_keep_their_errors(self, parts, ground, error, message):
-        # the errors of the validation, in its order, also after equal
-        # int parts have been cached, and nothing is cached for them
+    def test_parts_equal_to_cached_ones_keep_their_errors(self, parts, message):
+        # parts that are not ints raise the TypeError of operator.index,
+        # also after equal int parts have been cached, and cache nothing
         canonical_partition((2, 3))
-        canonical_partition((12,))
         size = partitions_module._consecutive_partition.cache_info().currsize
-        with pytest.raises(error) as err:
-            canonical_partition(parts, ground)
-        assert type(err.value) is error and str(err.value) == message
+        with pytest.raises(TypeError) as err:
+            canonical_partition(parts)
+        assert type(err.value) is TypeError and str(err.value) == message
         assert partitions_module._consecutive_partition.cache_info().currsize == size

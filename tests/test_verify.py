@@ -435,6 +435,13 @@ class TestIsolations:
             with pytest.raises(ValueError, match="n_max"):
                 run_suite(n_max)
 
+    def test_suite_rejects_n_max_above_the_cap(self):
+        # checked before any verdict runs, naming the flag, not the ground set
+        for n_max in (13, 40):
+            with pytest.raises(ValueError) as err:
+                run_suite(n_max)
+            assert str(err.value) == f"n_max must be at most 12, got {n_max}"
+
     def test_suite_repeats_cold_and_warm(self):
         # the package's builders keep what they build; a run that finds
         # them filled must give the verdicts of one that finds every
