@@ -33,10 +33,10 @@ class ExpansionMap:
             raise ValueError("one image mask per source element required")
         union = 0
         for m in images:
+            if not 0 <= m <= self.target.full_mask:
+                raise ValueError("image outside the target ground set")
             if m & union:
                 raise ValueError("images must be pairwise disjoint")
-            if m > self.target.full_mask:
-                raise ValueError("image outside the target ground set")
             union |= m
 
     def of_mask(self, B: int) -> int:
@@ -78,7 +78,7 @@ def uniform(m: int, n: int) -> SetFunction:
 
 def uniform_on_support(rank: int, support: int, ground: GroundSet) -> SetFunction:
     """Uniform matroid of the given rank on `support`, loops elsewhere."""
-    if support == 0 or support > ground.full_mask:
+    if not 0 < support <= ground.full_mask:
         raise ValueError("support must be a nonempty subset of the ground set")
     if not 1 <= rank <= support.bit_count():
         raise ValueError("rank out of range for the support")
@@ -126,7 +126,7 @@ def restrict(f: SetFunction, M: int) -> SetFunction:
     the factor of f through the injection of {1..|M|} onto M."""
     if M == 0:
         raise ValueError("cannot restrict to the empty set")
-    if M > f.ground.full_mask:
+    if not 0 <= M <= f.ground.full_mask:
         raise ValueError("subset out of range")
     els = elements_of(M)
     onto = ExpansionMap(GroundSet(len(els)), f.ground, tuple(1 << (e - 1) for e in els))

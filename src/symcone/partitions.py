@@ -131,7 +131,7 @@ def _count_index(p: Partition) -> tuple:
 
 def partition_vector(A: int, p: Partition) -> PartitionVector:
     """Per-block intersection counts of the subset A."""
-    if A > p.ground.full_mask:
+    if not 0 <= A <= p.ground.full_mask:
         raise ValueError("subset out of range")
     return tuple((A & b).bit_count() for b in p.blocks)
 

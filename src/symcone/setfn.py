@@ -95,7 +95,9 @@ def consecutive_masks(sizes: Iterable[int]) -> tuple:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Sorted elements of a subset mask."""
+    """Sorted elements of a subset mask; ValueError if it is negative."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     i = 1
     while mask:
@@ -165,6 +167,8 @@ class SetFunction:
         return self.ground.n
 
     def __call__(self, mask: int) -> Fraction:
+        if not 0 <= mask <= self.ground.full_mask:
+            raise IndexError(f"mask {mask} outside 0..{self.ground.full_mask}")
         return self.values[mask]
 
     @cached_property
@@ -248,13 +252,15 @@ class FacetId:
     """Identifier E(I, K) of an elemental inequality.
 
     I is a 1- or 2-element mask; K is disjoint from I and empty when
-    |I| = 1.
+    |I| = 1.  A negative mask raises ValueError.
     """
 
     I: int
     K: int = 0
 
     def __post_init__(self) -> None:
+        if self.I < 0 or self.K < 0:
+            raise ValueError("I and K must be nonnegative masks")
         size = self.I.bit_count()
         if size not in (1, 2):
             raise ValueError("I must have one or two elements")
@@ -342,7 +348,7 @@ def mutual_info(f: SetFunction, i: int, j: int, K: int = 0) -> Fraction:
     mj = f.ground.singleton(j)
     if (mi | mj) & K:
         raise ValueError("conditioning set overlaps {i, j}")
-    if K > f.ground.full_mask:
+    if not 0 <= K <= f.ground.full_mask:
         raise ValueError("conditioning set out of range")
     return f(K | mi) + f(K | mj) - f(K) - f(K | mi | mj)
 

@@ -274,47 +274,21 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
     return tuple(li), tuple(lk)
 
 
-def _mixed_pair_grid(n1: int, n2: int, k1: int, k2: int) -> dict:
-    """Reduced values, as ints, of the witness isolating a split-pair
-    orbit, keyed by the counts (i, j) in the two legs' blocks.
-
-    Piecewise on the four index blocks split at (l1, l2) = (k1+1, k2+1):
-    bilinear inside the low-low and high-high blocks, with corrected
-    linear pieces on the two mixed blocks.
-    """
-    l1, l2 = k1 + 1, k2 + 1
-    grid = {}
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            if (i <= l1 and j <= l2) or (i > l1 and j > l2):
-                v = i * n2 + j * n1 - i * j
-            elif i <= l1:  # j > l2
-                v = (
-                    j * l1
-                    - (j - l2) * max(0, l1 - i - 1)
-                    + i * (n2 - j)
-                    + j * (n1 - l1)
-                )
-            else:  # i > l1, j <= l2
-                v = (
-                    i * l2
-                    - (i - l1) * max(0, l2 - j - 1)
-                    + j * (n1 - i)
-                    + i * (n2 - l2)
-                )
-            grid[(i, j)] = v
-    return grid
-
-
 def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> IsolationWitness:
     """Construct the explicit witness isolating a facet orbit of p
     inside its context family.
 
     `target` must label a facet orbit of p, and `context` must merge
     exactly two blocks u, v of p; else ValueError.  A B label with both
-    legs in {u, v} takes the split-pair grid at (k[u], k[v]) on each
-    count tuple k.  Every other witness is a `uniform_factor` with the
-    0/1 weights of a support of blocks: an A label on block l takes
+    legs in {u, v} takes, on each count tuple k, with i, j = k[u], k[v],
+    n1, n2 the sizes of u, v, k1, k2 = lambda_K[u], lambda_K[v] and
+    x+ = max(0, x), the value
+
+        i*n2 + j*n1 - i*j - (j - k2 - 1)+ (k1 - i)+ - (i - k1 - 1)+ (k2 - j)+:
+
+    the coverage n1*n2 - (n1 - i)(n2 - j) less one corner correction on
+    each mixed quadrant.  Every other witness is a `uniform_factor` with
+    the 0/1 weights of a support of blocks: an A label on block l takes
     support {l} and rank n_l; any other label the blocks it touches,
     plus u when none of them is u or v, and rank 1 + the sum of
     lambda_K over the support.
@@ -328,8 +302,11 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     lk = target.lambda_K
     sizes = p.block_sizes
     if touched == {u, v}:
-        grid = _mixed_pair_grid(sizes[u], sizes[v], lk[u], lk[v])
-        values = tuple([grid[k[u], k[v]] for k in p.count_tuples])
+        n1, n2, k1, k2 = sizes[u], sizes[v], lk[u], lk[v]
+        values = [i * n2 + j * n1 - i * j
+                  - max(0, j - k2 - 1) * max(0, k1 - i)
+                  - max(0, i - k1 - 1) * max(0, k2 - j)
+                  for i, j in ((k[u], k[v]) for k in p.count_tuples)]
         return IsolationWitness(p, target, context, from_sym(SymVector(p, values)))
     if target.kind == "A":
         support, rank = touched, sizes[min(touched)]

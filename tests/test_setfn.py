@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from symcone import (
+    ExpansionMap,
     FacetId,
     GroundSet,
     SetFunction,
@@ -14,15 +15,18 @@ from symcone import (
     canonical_partition,
     elemental_count,
     elemental_rows,
+    elements_of,
     form_value,
     gap_witness,
     is_matroid,
     is_polymatroid,
     mask_of,
     mutual_info,
+    partition_vector,
     polymatroid_violation,
     restrict,
     uniform,
+    uniform_on_support,
     zhang_yeung_form,
 )
 from symcone.families import random_polymatroid
@@ -313,6 +317,34 @@ class TestRestrict:
     def test_empty_restriction_rejected(self):
         with pytest.raises(ValueError):
             restrict(uniform(1, 3), 0)
+
+
+class TestNegativeMasks:
+    # a negative mask is no subset: bit walks on it never end, and
+    # checks of the upper bound alone let it through
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: elements_of(-1), ValueError, "mask -1 is negative"),
+        (lambda: str(FacetId(-1)), ValueError, "I and K must be nonnegative masks"),
+        (lambda: str(FacetId(0b11, -8)), ValueError, "I and K must be nonnegative masks"),
+        (lambda: restrict(uniform(2, 4), -1), ValueError, "subset out of range"),
+        (lambda: mutual_info(uniform(2, 4), 1, 2, -16), ValueError,
+         "conditioning set out of range"),
+        (lambda: partition_vector(-1, canonical_partition((2, 2))), ValueError,
+         "subset out of range"),
+        (lambda: uniform_on_support(1, -3, GroundSet(4)), ValueError,
+         "support must be a nonempty subset of the ground set"),
+        (lambda: ExpansionMap(GroundSet(2), GroundSet(3), (1, -2)), ValueError,
+         "image outside the target ground set"),
+        (lambda: ExpansionMap(GroundSet(2), GroundSet(3), (1, -1)), ValueError,
+         "image outside the target ground set"),
+        (lambda: uniform(2, 4)(-1), IndexError, "mask -1 outside 0..15"),
+    ], ids=["elements_of", "FacetId-I", "FacetId-K", "restrict", "mutual_info",
+            "partition_vector", "uniform_on_support", "ExpansionMap",
+            "ExpansionMap-overlap", "call"])
+    def test_negative_mask_rejected(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestSerialization:

@@ -141,6 +141,27 @@ class TestRayInventories:
         assert not v.passed
         assert v.counterexample == {"uncertified_ray": list(direction)}
 
+    def test_short_family_fails(self, monkeypatch):
+        # n = 4 has 1 + 3 + 6 generators; one fewer is caught by its count
+        real = verify_module._family_vectors
+        monkeypatch.setattr(verify_module, "_family_vectors", lambda n: real(n)[:-1])
+        v = verify_psi_1n1(4)
+        assert not v.passed
+        assert v.counterexample == {"family_size": 9}
+
+    def test_family_member_that_is_no_ray_fails(self, monkeypatch):
+        # the last generator replaced by the sum of the last two: the
+        # count holds, but the sum is no ray and the last ray is unclaimed
+        real = verify_module._family_vectors
+        *_, a, b = real(4)
+        summed = tuple(x + y for x, y in zip(a, b))
+        monkeypatch.setattr(verify_module, "_family_vectors",
+                            lambda n: real(n)[:-1] + (summed,))
+        v = verify_psi_1n1(4)
+        assert not v.passed
+        assert v.counterexample == {"extra": [normalize_ray(b).direction],
+                                    "missing": [normalize_ray(summed).direction]}
+
 
 class TestFacetBijection:
     def test_all_canonical_n4(self):
@@ -233,6 +254,26 @@ class TestGap:
         v = verify_gap(canonical_partition((2, 2)))
         assert not v.passed
         assert v.counterexample == {"violated": "E(1,2|-)"}
+
+    def test_witness_off_the_form_bound_fails(self, monkeypatch):
+        # U_{2,4} passes the gate and lies in the cone, but the form is
+        # 5 on it, not -1
+        monkeypatch.setattr(verify_module, "gap_witness_blocks", lambda q: uniform(2, q.n))
+        v = verify_gap(canonical_partition((2, 2)))
+        assert not v.passed
+        assert v.counterexample == {"zy_value": "5"}
+
+    def test_witness_outside_the_cone_fails(self, monkeypatch):
+        # a one-row cone asking for a value <= 0 on the tuple (0,1),
+        # where the witness is 2; the payload is its reduced vector
+        p = canonical_partition((2, 2))
+        cone = psi_p_hrep(p)
+        row = (-1,) + (0,) * (cone.dim - 1)
+        monkeypatch.setattr(verify_module, "psi_p_hrep",
+                            lambda q: HCone(cone.dim, ((row, "h(0,1) <= 0"),), cone.coords))
+        v = verify_gap(p)
+        assert not v.passed
+        assert v.counterexample == {"membership": ["2", "3", "2", "3", "4", "4", "4", "4"]}
 
     def test_inapplicable_messages(self):
         theorem = ("no gap witness exists: with one block, or two blocks one of "
@@ -370,6 +411,24 @@ class TestIsolations:
                     w = build_isolation(p, label, ctx)
                     v = check_isolation(w)
                     assert v.passed, (str(p), str(label), v.counterexample)
+
+    def test_split_pair_witnesses_past_the_pinned_range(self):
+        # the digest stops at n = 6; every B label of a two-block shape
+        # has one leg in each block, so each takes the split-pair form
+        count = 0
+        for n in range(7, 11):
+            ctx = canonical_partition((n,))
+            for p in canonical_representatives(n):
+                if p.t != 2:
+                    continue
+                for label in orbit_labels(p):
+                    if label.kind != "B":
+                        continue
+                    assert {i - 1 for i in label.blocks_touched()} == {0, 1}
+                    v = check_isolation(build_isolation(p, label, ctx))
+                    assert v.passed, (str(p), str(label), v.counterexample)
+                    count += 1
+        assert count == 233
 
     def test_cover_pairs_cover_all_five_shapes(self):
         shapes = set()
