@@ -393,7 +393,11 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
     1996), so no rank is computed inside the loop.  Before each row
     is inserted, `_incidence` transposes the tight masks into one
     bitmask of tight rays per row, and the test ANDs those of the rows
-    the pair shares until only the pair is left.  Once every row is
+    the pair shares until only the pair is left.  When a third ray is
+    left, the highest-indexed one is kept with its tight set for the
+    rest of that positive ray's scan: a later pair whose common set lies
+    in a kept tight set (of a ray other than its negative ray) is not
+    adjacent by the same test, and is skipped.  Once every row is
     inserted, that bitmask covers all of `c.rows`, and each returned
     `Ray` carries it as `tight`.
     """
@@ -449,23 +453,31 @@ def extreme_rays(c: HCone, max_dim: int = DEFAULT_MAX_DIM) -> list:
             everyone = (1 << len(rays)) - 1
             for kp in pos:
                 rp, vp, tp = rays[kp], vals[kp], tight[kp]
+                # (k, tight[k]) of third rays that ruled out earlier pairs
+                thirds = []
                 for kn in neg:
                     common = tp & tight[kn]
                     if common.bit_count() < d - 2:
                         continue
-                    pair = (1 << kp) | (1 << kn)
-                    rest = everyone
-                    for row_bit, tight_rays in checks:
-                        if common & row_bit:
-                            rest &= tight_rays
-                            if rest == pair:
-                                break
-                    if rest != pair:
-                        continue
-                    vn = vals[kn]
-                    new_rays.append(_content_normalize(
-                        [vp * y - vn * x for x, y in zip(rp, rays[kn])]))
-                    new_tight.append(common | bit)
+                    for kr, tr in thirds:
+                        if kr != kn and common & tr == common:
+                            break
+                    else:
+                        pair = (1 << kp) | (1 << kn)
+                        rest = everyone
+                        for row_bit, tight_rays in checks:
+                            if common & row_bit:
+                                rest &= tight_rays
+                                if rest == pair:
+                                    break
+                        if rest == pair:
+                            vn = vals[kn]
+                            new_rays.append(_content_normalize(
+                                [vp * y - vn * x for x, y in zip(rp, rays[kn])]))
+                            new_tight.append(common | bit)
+                        else:
+                            kr = (rest ^ pair).bit_length() - 1
+                            thirds.append((kr, tight[kr]))
         rays = [rays[k] for k in pos + zero] + new_rays
         tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
                  + new_tight)

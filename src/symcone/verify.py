@@ -291,7 +291,9 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     the 0/1 weights of a support of blocks: an A label on block l takes
     support {l} and rank n_l; any other label the blocks it touches,
     plus u when none of them is u or v, and rank 1 + the sum of
-    lambda_K over the support.
+    lambda_K over the support.  Each witness function is built once per
+    distinct key, after every check has passed, and shared by every
+    witness with that key; the `IsolationWitness` is new on each call.
     """
     posmap, family, _ = _target_family(p, target, context)
     if family is None:
@@ -300,21 +302,16 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
     touched = {i - 1 for i in target.blocks_touched()}
     lk = target.lambda_K
-    sizes = p.block_sizes
     if touched == {u, v}:
-        n1, n2, k1, k2 = sizes[u], sizes[v], lk[u], lk[v]
-        values = [i * n2 + j * n1 - i * j
-                  - max(0, j - k2 - 1) * max(0, k1 - i)
-                  - max(0, i - k1 - 1) * max(0, k2 - j)
-                  for i, j in ((k[u], k[v]) for k in p.count_tuples)]
-        return IsolationWitness(p, target, context, from_sym(SymVector(p, values)))
+        return IsolationWitness(p, target, context,
+                                _split_pair_witness(p, u, v, lk[u], lk[v]))
     if target.kind == "A":
-        support, rank = touched, sizes[min(touched)]
+        support, rank = touched, p.block_sizes[min(touched)]
     else:
         support = touched if touched & {u, v} else touched | {u}
         rank = 1 + sum(lk[i] for i in support)
-    weights = [int(i in support) for i in range(p.t)]
-    return IsolationWitness(p, target, context, uniform_factor(p, rank, weights))
+    return IsolationWitness(p, target, context,
+                            _uniform_witness(p, tuple(sorted(support)), rank))
 
 
 def _target_family(p: Partition, target: OrbitLabel, context: Partition) -> tuple:
@@ -343,6 +340,27 @@ def _context_families(p: Partition, context: Partition) -> tuple:
         families.setdefault(_collapse(label, posmap, context.t), []).append((coeffs, label))
     return posmap, {key: HCone(cone.dim, tuple(rows), cone.coords)
                     for key, rows in families.items()}
+
+
+@cache
+def _split_pair_witness(p: Partition, u: int, v: int, k1: int, k2: int) -> SetFunction:
+    """The split-pair witness of `build_isolation` for the merged blocks
+    u, v of p and the counts k1, k2 of its target's lambda_K on them,
+    built once per key and shared by every label with that key."""
+    n1, n2 = p.block_sizes[u], p.block_sizes[v]
+    values = [i * n2 + j * n1 - i * j
+              - max(0, j - k2 - 1) * max(0, k1 - i)
+              - max(0, i - k1 - 1) * max(0, k2 - j)
+              for i, j in ((k[u], k[v]) for k in p.count_tuples)]
+    return from_sym(SymVector(p, values))
+
+
+@cache
+def _uniform_witness(p: Partition, support: tuple, rank: int) -> SetFunction:
+    """`uniform_factor(p, rank, weights)` with weight 1 on the blocks of
+    the sorted index tuple `support` and 0 elsewhere, built once per key
+    and shared by every label with that key."""
+    return uniform_factor(p, rank, [int(i in support) for i in range(p.t)])
 
 
 def check_isolation(w: IsolationWitness) -> Verdict:

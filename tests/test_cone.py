@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import random
@@ -247,6 +248,18 @@ class TestExtremeRays:
                 others = [r.direction for j, r in enumerate(rays) if j != i]
                 res = conic_decompose(ray.direction, others)
                 assert not res.feasible
+
+    def test_dim_23_ray_list_pinned(self):
+        # a shape past the benchmark's dim <= 20, on which most rejected
+        # pairs are ruled out by a third ray kept from an earlier pair;
+        # count and digest were recorded before that reuse existed
+        rays = extreme_rays(psi_p_hrep(canonical_partition((1, 1, 5))), max_dim=23)
+        digest = hashlib.sha256()
+        for r in rays:
+            digest.update(f"{','.join(map(str, r.direction))}|{r.tight}\n".encode())
+        assert len(rays) == 1890
+        assert digest.hexdigest() == (
+            "1322e38c4e7f3f2d9eb330a5f419c763546637a82758cd4c300e90af0990b686")
 
     def test_ray_normalization(self):
         assert normalize_ray((Fraction(1, 2), Fraction(3, 2))).direction == (1, 3)

@@ -322,6 +322,17 @@ class TestGap:
         assert (with_split, without_split) == (252, 26)
 
 
+def benchmark_isolation_pairs():
+    """The (partition, context) pairs of the benchmark's isolation
+    checks: two-block shapes against the one-block context for n <= 6,
+    then every cover pair for n <= 5."""
+    pairs = [(p, canonical_partition((n,))) for n in range(2, 7)
+             for p in canonical_representatives(n) if p.t == 2]
+    pairs += [(p, ctx) for n in range(2, 6) for p in canonical_representatives(n)
+              for ctx in canonical_representatives(n) if covers(ctx, p)]
+    return pairs
+
+
 class TestIsolations:
     def test_counting_witness_for_monotonicity_label(self):
         p = canonical_partition((2, 2))
@@ -372,22 +383,22 @@ class TestIsolations:
 
     def test_non_grid_witnesses_are_uniform_factors(self, monkeypatch):
         # every witness but the split-pair grid is one uniform_factor
-        # call.  The pairs are those of the benchmark's claim checks:
-        # two-block shapes against the one-block context for n <= 6,
-        # then every cover pair for n <= 5
-        built = []
+        # call, made once per distinct (p, rank, weights) and shared by
+        # every label with that key
+        built = {}
 
         def spy(p, rank, weights):
-            built.append(uniform_factor(p, rank, weights))
-            return built[-1]
+            key = (p, rank, tuple(weights))
+            assert key not in built
+            built[key] = uniform_factor(p, rank, weights)
+            return built[key]
 
         monkeypatch.setattr(verify_module, "uniform_factor", spy)
-        pairs = [(p, canonical_partition((n,))) for n in range(2, 7)
-                 for p in canonical_representatives(n) if p.t == 2]
-        pairs += [(p, ctx) for n in range(2, 6) for p in canonical_representatives(n)
-                  for ctx in canonical_representatives(n) if covers(ctx, p)]
+        verify_module._uniform_witness.cache_clear()
+        verify_module._split_pair_witness.cache_clear()
         counts = {"A": 0, "support": 0, "grid": 0}
-        for p, ctx in pairs:
+        grids = set()
+        for p, ctx in benchmark_isolation_pairs():
             posmap = block_map(p, ctx)
             pair = {i for i, c in enumerate(posmap) if posmap.count(c) == 2}
             for label in orbit_labels(p):
@@ -396,10 +407,76 @@ class TestIsolations:
                 if {i - 1 for i in label.blocks_touched()} == pair:
                     counts["grid"] += 1
                     assert len(built) == before
+                    grids.add(id(w.function))
                 else:
                     counts["A" if label.kind == "A" else "support"] += 1
-                    assert len(built) == before + 1 and w.function is built[-1]
+                    assert len(built) - before in (0, 1)
+                    assert any(w.function is f for f in built.values())
         assert counts == {"A": 65, "support": 361, "grid": 115}
+        assert len(built) == 122 and len(grids) == 59
+        verify_module._uniform_witness.cache_clear()
+
+    def test_labels_with_one_split_pair_key_share_a_function(self):
+        # both labels have their legs on the merged blocks 1, 2 with
+        # lambda_K 0 there; they differ only in lambda_K on block 3
+        p = canonical_partition((1, 1, 2))
+        ctx = canonical_partition((2, 2))
+        a = build_isolation(p, OrbitLabel((1, 1, 0), (0, 0, 0)), ctx)
+        b = build_isolation(p, OrbitLabel((1, 1, 0), (0, 0, 2)), ctx)
+        assert a is not b and a.target != b.target
+        assert a.function is b.function
+        assert check_isolation(a).passed and check_isolation(b).passed
+
+    def test_labels_with_one_support_and_rank_share_a_function(self):
+        # a B label on blocks 1, 3 and a C label on block 3 (which adds
+        # the merged block 1) both take support {1, 3} and rank 1
+        p = canonical_partition((1, 1, 2))
+        ctx = canonical_partition((2, 2))
+        a = build_isolation(p, OrbitLabel((1, 0, 1), (0, 0, 0)), ctx)
+        b = build_isolation(p, OrbitLabel((0, 0, 2), (0, 0, 0)), ctx)
+        assert a.target.kind == "B" and b.target.kind == "C"
+        assert a.function is b.function
+        assert a.function.values == uniform_factor(p, 1, (1, 0, 1)).values
+        assert check_isolation(a).passed and check_isolation(b).passed
+
+    def test_rejected_inputs_cache_no_witness(self):
+        caches = (verify_module._split_pair_witness, verify_module._uniform_witness)
+        sizes = [c.cache_info().currsize for c in caches]
+        p = canonical_partition((2, 2))
+        q = canonical_partition((1, 1, 2))
+        # a label of no orbit, a split pair whose lambda_K no orbit has,
+        # and a context that merges three blocks
+        cases = [
+            (p, OrbitLabel((2, 0), (1, 0)), canonical_partition((4,)),
+             "does not name a facet orbit"),
+            (p, OrbitLabel((1, 1), (1, 2)), canonical_partition((4,)),
+             "does not name a facet orbit"),
+            (q, OrbitLabel((1, 1, 0), (0, 0, 0)), canonical_partition((4,)),
+             "merge exactly two blocks"),
+        ]
+        for target_p, target, ctx, message in cases:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message) as err:
+                    build_isolation(target_p, target, ctx)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+        assert [c.cache_info().currsize for c in caches] == sizes
+
+    def test_checks_leave_shared_witnesses_unchanged(self):
+        witnesses = [build_isolation(p, label, ctx)
+                     for p, ctx in benchmark_isolation_pairs()
+                     for label in orbit_labels(p)]
+        shared = {id(w.function): w.function for w in witnesses}
+        assert (len(witnesses), len(shared)) == (541, 181)
+        before = {key: (f.values, list(f._scaled[0]), f._scaled[1])
+                  for key, f in shared.items()}
+        for w in witnesses:
+            assert check_isolation(w).passed
+        for key, f in shared.items():
+            values, ints, m = before[key]
+            assert f.values is values
+            assert f._scaled == (ints, m)
 
     def test_all_labels_all_two_block_partitions(self):
         for n in range(2, 7):
