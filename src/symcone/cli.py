@@ -126,6 +126,8 @@ def cmd_rays(args) -> int:
     unreported.  The json text is laid out exactly as
     `json.dumps(payload, indent=2, sort_keys=True)` lays out the list
     of `{"direction": [...], "tight": [...]}` objects."""
+    if args.max_dim < 1:
+        raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
     p = _parse_partition(args)
     cone = psi_p_hrep(p)
     rays = extreme_rays(cone, max_dim=args.max_dim)

@@ -200,14 +200,31 @@ def two_block_coarsening(p: Partition) -> Optional[Partition]:
 def _witness_vector(h: SetFunction, p: Partition) -> tuple:
     """`(counterexample, vec)`, the gate of every witness check: the first
     violated facet unless h is a polymatroid, else the partition unless
-    h is p-symmetric, else None and the reduced vector of h."""
-    bad = polymatroid_violation(h)
+    h is p-symmetric, else None and the reduced vector of h, as an int
+    tuple when every coordinate is an integer.
+
+    The two scans run once per function object and partition:
+    `h._gates[p]` keeps the violated `FacetId` (or None) and the vector
+    (None when h is not p-symmetric), and each call builds its
+    counterexample dict anew."""
+    gate = h._gates.get(p)
+    if gate is None:
+        bad, vec = polymatroid_violation(h), None
+        if bad is None:
+            try:
+                vec = to_sym(h, p).free_values()
+            except SymmetryError:
+                pass
+            else:
+                if all(x.denominator == 1 for x in vec):
+                    vec = tuple(x.numerator for x in vec)
+        gate = h._gates[p] = bad, vec
+    bad, vec = gate
     if bad is not None:
         return {"violated": str(bad)}, None
-    try:
-        return None, to_sym(h, p).free_values()
-    except SymmetryError:
+    if vec is None:
         return {"symmetry": str(p)}, None
+    return None, vec
 
 
 def verify_gap(p: Partition) -> Verdict:
@@ -371,7 +388,10 @@ def check_isolation(w: IsolationWitness) -> Verdict:
     whose labels collapse through `w.context` onto the collapse of
     `w.target`.  Only the family's rows are evaluated.  A target
     outside that family (not a facet orbit of p) fails with the family
-    as counterexample.
+    as counterexample.  The polymatroid and symmetry gate runs once
+    per witness function and partition (`_witness_vector`); the family
+    lookup, its row values and the timing run on every call, and each
+    call returns a new `Verdict`.
     """
     p = w.partition
 

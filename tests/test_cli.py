@@ -142,6 +142,16 @@ class TestRays:
         assert main(args) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_dim", ["0", "-1"])
+    def test_max_dim_below_one_is_usage_error(self, capsys, max_dim):
+        # named as the flag, not as the cap of a cone dimension
+        assert main(["rays", "--n", "4", "--max-dim", max_dim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --max-dim must be at least 1, got {max_dim}"
+        ]
+
     def test_non_integer_element_is_usage_error(self, capsys):
         assert main(["rays", "--n", "4", "--partition", "1,a|2,3,4"]) == 2
         captured = capsys.readouterr()

@@ -333,6 +333,24 @@ def benchmark_isolation_pairs():
     return pairs
 
 
+def gate_spy(monkeypatch):
+    """Count the gate's scans: `verify.polymatroid_violation` and
+    `verify.to_sym` calls, by name."""
+    scans = {"polymatroid": 0, "symmetry": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            scans[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify_module, "polymatroid_violation",
+                        counting("polymatroid", verify_module.polymatroid_violation))
+    monkeypatch.setattr(verify_module, "to_sym",
+                        counting("symmetry", verify_module.to_sym))
+    return scans
+
+
 class TestIsolations:
     def test_counting_witness_for_monotonicity_label(self):
         p = canonical_partition((2, 2))
@@ -671,14 +689,18 @@ class TestIsolations:
         with pytest.raises(ValueError, match="merge exactly two blocks"):
             check_isolation(bad)
 
-    def test_rejected_context_raises_on_every_call(self):
+    def test_rejected_context_raises_on_every_call(self, monkeypatch):
+        # also once the function's gate is kept: no scan runs again
         p = canonical_partition((1, 1, 2))
         good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
+        assert check_isolation(good).passed
+        scans = gate_spy(monkeypatch)
         for _ in range(3):
             bad = IsolationWitness(p, good.target, canonical_partition((4,)),
                                    good.function)
             with pytest.raises(ValueError, match="merge exactly two blocks"):
                 check_isolation(bad)
+        assert scans == {"polymatroid": 0, "symmetry": 0}
 
     def test_context_families_group_rows_by_collapse(self):
         # each family is an HCone holding the cone's rows (coefficients
@@ -721,6 +743,95 @@ class TestIsolations:
                 assert check_isolation(
                     build_isolation(p, label, canonical_partition((2, 2)))).passed
         assert verify_module._context_families.cache_info().misses == 1
+
+
+class TestWitnessGate:
+    def test_gate_runs_once_per_function_and_partition(self, monkeypatch):
+        # the outcome is kept on the witness function, so start from
+        # functions no earlier check has gated
+        verify_module._split_pair_witness.cache_clear()
+        verify_module._uniform_witness.cache_clear()
+        scans = gate_spy(monkeypatch)
+        witnesses = [build_isolation(p, label, ctx)
+                     for p, ctx in benchmark_isolation_pairs()
+                     for label in orbit_labels(p)]
+        per_pass = []
+        for _ in range(2):
+            before = dict(scans)
+            assert all(check_isolation(w).passed for w in witnesses)
+            per_pass.append({k: scans[k] - before[k] for k in scans})
+        assert per_pass == [{"polymatroid": 181, "symmetry": 181},
+                            {"polymatroid": 0, "symmetry": 0}]
+        # keyed by the object, not by its values
+        w = witnesses[0]
+        copy = IsolationWitness(w.partition, w.target, w.context,
+                                SetFunction(w.function.ground, w.function.values))
+        for _ in range(2):
+            assert check_isolation(copy).passed
+        assert scans == {"polymatroid": 182, "symmetry": 182}
+
+    def test_one_function_is_gated_under_each_partition(self, monkeypatch):
+        scans = gate_spy(monkeypatch)
+        h = SetFunction(GroundSet(4), uniform(2, 4).values)
+        parts = [canonical_partition((2, 2)), canonical_partition((1, 1, 2))]
+        for _ in range(2):
+            for p in parts:
+                bad, vec = verify_module._witness_vector(h, p)
+                assert bad is None
+                assert vec == to_sym(uniform(2, 4), p).free_values()
+        assert scans == {"polymatroid": 2, "symmetry": 2}
+
+    @pytest.mark.parametrize("kind", ["polymatroid", "symmetry"])
+    def test_failing_gate_builds_a_fresh_payload(self, kind):
+        p = canonical_partition((2, 2))
+        target = OrbitLabel((1, 0), (0, 0))
+        if kind == "polymatroid":
+            h, want = squared_count(p), {"violated": "E(1,2|-)"}
+        else:
+            h = uniform_on_support(1, mask_of([1]), p.ground)
+            want = {"symmetry": str(p)}
+        w = IsolationWitness(p, target, canonical_partition((4,)), h)
+        first, second = check_isolation(w), check_isolation(w)
+        assert not first.passed and not second.passed
+        assert first.counterexample == second.counterexample == want
+        assert first.counterexample is not second.counterexample
+        first.counterexample.clear()
+        assert second.counterexample == want
+        assert check_isolation(w).counterexample == want
+
+    def test_integer_witnesses_hand_on_int_vectors(self):
+        shared = {}
+        for p, ctx in benchmark_isolation_pairs():
+            for label in orbit_labels(p):
+                w = build_isolation(p, label, ctx)
+                shared[id(w.function)] = w.function, p
+        assert len(shared) == 181
+        for h, p in shared.values():
+            bad, vec = verify_module._witness_vector(h, p)
+            assert bad is None and type(vec) is tuple
+            assert all(type(x) is int for x in vec)
+            assert vec == to_sym(h, p).free_values()
+
+    def test_fractional_witnesses_keep_fractions(self):
+        count = 0
+        for p, ctx in benchmark_isolation_pairs():
+            for label in orbit_labels(p):
+                w = build_isolation(p, label, ctx)
+                half = Fraction(1, 2) * w.function
+                bad, vec = verify_module._witness_vector(half, p)
+                assert bad is None
+                assert any(type(x) is Fraction and x.denominator == 2 for x in vec)
+                assert vec == tuple(x / 2 for x in to_sym(w.function, p).free_values())
+                v = check_isolation(IsolationWitness(p, label, ctx, half))
+                assert v.passed and v.counterexample is None
+                count += 1
+        assert count == 541
+        # a failing check names the value in the witness's own scale
+        p = canonical_partition((2, 2))
+        w = IsolationWitness(p, OrbitLabel((1, 0), (0, 0)), canonical_partition((4,)),
+                             Fraction(1, 2) * uniform(4, 4))
+        assert check_isolation(w).counterexample == {"label": "[1_2(2)|0]",
+                                                     "value": "1/2"}
 
 
 class TestFamilyVectors:
