@@ -41,7 +41,7 @@ from .setfn import (
     _clear_denominators,
     elemental_rows,
 )
-from .symmetry import facet_orbit_label, orbit_labels, reduce_form
+from .symmetry import facet_keys, orbit_labels, reduce_form
 
 DEFAULT_MAX_DIM = 20
 
@@ -188,16 +188,25 @@ class HCone:
 
     def row_values(self, v: Sequence) -> list:
         """Value of each row at v: ints when every entry of v is an
-        int, Fractions otherwise."""
+        int, Fractions otherwise.  A vector of plain ints (`type(y) is
+        int`, so no bool) is read as it is; any other goes through
+        `_scaled` first and its sums are divided back by the scale."""
         vals = list(v)
-        x, m = self._scaled(vals)
+        if set(map(type, vals)) == {int}:
+            if len(vals) != self.dim:
+                raise ValueError("vector length does not match cone dimension")
+            x, m = vals, None
+        else:
+            x, m = self._scaled(vals)
+            if all(isinstance(y, int) for y in vals):
+                m = None
         kernel = self._kernel
         if kernel is None:
             sums = [sum(c * x[i] for i, c in sparse) for sparse in self._sparse]
         else:
             x.append(0)
             sums = [x[i] + x[j] - x[k] - x[l] for i, j, k, l in kernel]
-        if all(isinstance(y, int) for y in vals):
+        if m is None:
             return sums
         return [Fraction(s, m) for s in sums]
 
@@ -606,31 +615,35 @@ def facet_reduction_check(p: Partition) -> bool:
     elemental row equals `reduced_facet_row(fid, p) . to_sym(h, p)`,
     so it proves that Gamma_n meets the p-symmetric subspace in Psi_p.
 
-    Every elemental facet is walked, keyed by the `p.count_index`
-    positions of its masks a, b, c, d, I and K, and only the first
-    facet of each key is labelled and reduced.  That loses nothing: a
-    facet's reduced row is the +/- sum at the positions of a, b, c and
-    d, and its label is the count tuples of I and K, so every facet of
-    a key has the same row and the same label as the first.
+    Every elemental facet is walked once, by `symmetry.facet_keys`,
+    which keys it by the `p.count_index` positions of its masks a, b,
+    c, d, I and K.  Each key is read off its positions alone: its label
+    is `(count_tuples[I], count_tuples[K])`, looked up in a table of
+    the cone's rows built once per call, and its reduced row is +1 at
+    a and b and -1 at c and d, position 0 dropped.  Every facet of a
+    key has that row and that label, so no per-facet object is built;
+    `facet_orbit_label` and `reduced_facet_row` are the per-facet
+    reference.
     """
     reduced = psi_p_hrep(p)
-    by_label = {label: coeffs for coeffs, label in reduced.rows}
+    by_label = {(label.lambda_I, label.lambda_K): coeffs
+                for coeffs, label in reduced.rows}
     if len(by_label) != len(reduced.rows):
         return False
 
-    position, _ = p.count_index
-    seen_keys = set()
+    tuples = p.count_tuples
     seen_labels = set()
-    for fid, (a, b, c, d) in elemental_rows(p.ground).items():
-        key = (position[a], position[b], position[c], position[d],
-               position[fid.I], position[fid.K])
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        label = facet_orbit_label(fid, p)
-        if label not in by_label:
+    for a, b, c, d, i, k in facet_keys(p):
+        label = tuples[i], tuples[k]
+        coeffs = by_label.get(label)
+        if coeffs is None:
             return False
-        if reduced_facet_row(fid, p) != by_label[label]:
+        row = [0] * len(tuples)
+        row[a] += 1
+        row[b] += 1
+        row[c] -= 1
+        row[d] -= 1
+        if tuple(row[1:]) != coeffs:
             return False
         seen_labels.add(label)
-    return seen_labels == set(by_label)
+    return len(seen_labels) == len(by_label)

@@ -272,10 +272,34 @@ def orbit_count_formula(p: Partition) -> int:
     return count
 
 
+def facet_keys(p: Partition) -> dict:
+    """The one labelling walk of the elemental facets under p: the number
+    of facets per key `(a, b, c, d, I, K)`, the `p.count_index`
+    positions of the masks a, b, c, d of each facet's row and of its I
+    and K, in walk order.
+
+    A key fixes both what a facet reduces to and its label: its reduced
+    row is +1 at positions a and b and -1 at c and d, position 0 (the
+    empty set) dropped, and its label is `(count_tuples[I],
+    count_tuples[K])`, the `(lambda_I, lambda_K)` of
+    `facet_orbit_label`.  So every facet of a key reduces to the same
+    row and lies in the same orbit.
+    """
+    position, _ = p.count_index
+    keys: dict = {}
+    for fid, (a, b, c, d) in elemental_rows(p.ground).items():
+        key = (position[a], position[b], position[c], position[d],
+               position[fid.I], position[fid.K])
+        keys[key] = keys.get(key, 0) + 1
+    return keys
+
+
 def orbit_sizes(p: Partition) -> dict:
-    """Number of elemental facets in each orbit, by direct labelling."""
-    out: dict = {}
-    for fid in elemental_rows(p.ground):
-        lab = facet_orbit_label(fid, p)
-        out[lab] = out.get(lab, 0) + 1
-    return out
+    """Number of elemental facets in each orbit, summed over the keys of
+    `facet_keys` that share the I and K positions of one label."""
+    sizes: dict = {}
+    for (*_, i, k), count in facet_keys(p).items():
+        sizes[i, k] = sizes.get((i, k), 0) + count
+    tuples = p.count_tuples
+    return {OrbitLabel(tuples[i], tuples[k]): count
+            for (i, k), count in sizes.items()}

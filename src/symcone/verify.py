@@ -312,7 +312,7 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     distinct key, after every check has passed, and shared by every
     witness with that key; the `IsolationWitness` is new on each call.
     """
-    posmap, family, _ = _target_family(p, target, context)
+    posmap, family, _, _ = _target_family(p, target, context)
     if family is None:
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
     # the merged pair: the two p-blocks sharing a context block
@@ -332,31 +332,43 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
 
 
 def _target_family(p: Partition, target: OrbitLabel, context: Partition) -> tuple:
-    """`(posmap, family, labels)`: `_context_families(p, context)`'s block
-    map, the family `target` collapses into (None unless `target` is a
-    row of it) and that family's row labels, empty when there is none."""
-    posmap, families = _context_families(p, context)
+    """`(posmap, family, labels, index)`: `_context_families(p, context)`'s
+    block map, and for a facet-orbit target its row's family cone,
+    family labels and row index, one dict get.  Any other target has
+    family and index None; its labels are those of the family its
+    collapse names, empty when there is none."""
+    posmap, families, rows = _context_families(p, context)
+    row = rows.get(target)
+    if row is not None:
+        return (posmap, *row)
     family = families.get(_collapse(target, posmap, context.t))
-    labels = [] if family is None else [label for _, label in family.rows]
-    return posmap, family if target in labels else None, labels
+    labels = () if family is None else tuple(label for _, label in family.rows)
+    return posmap, None, labels, None
 
 
 @cache
 def _context_families(p: Partition, context: Partition) -> tuple:
-    """`(posmap, families)` for a context merging two blocks of p, the
-    one table both halves of the isolation claim read: `posmap` is
-    `_merge_map(p, context)`, and `families` maps each collapsed label
+    """`(posmap, families, rows)` for a context merging two blocks of p,
+    the one table both halves of the isolation claim read: `posmap` is
+    `_merge_map(p, context)`, `families` maps each collapsed label
     `(lambda_I, lambda_K)` to an `HCone` of the rows of `psi_p_hrep(p)`
-    that collapse onto it, in row order.  Built once per pair; a
+    that collapse onto it, in row order, and `rows` maps the label of
+    each row to `(family, labels, index)`: its family cone, that
+    family's labels and its index among them.  Built once per pair; a
     context that does not merge exactly two blocks raises ValueError
     on every call."""
     posmap = _merge_map(p, context)
     cone = psi_p_hrep(p)
-    families: dict = {}
+    grouped: dict = {}
     for coeffs, label in cone.rows:
-        families.setdefault(_collapse(label, posmap, context.t), []).append((coeffs, label))
-    return posmap, {key: HCone(cone.dim, tuple(rows), cone.coords)
-                    for key, rows in families.items()}
+        grouped.setdefault(_collapse(label, posmap, context.t), []).append((coeffs, label))
+    families, rows = {}, {}
+    for key, members in grouped.items():
+        family = families[key] = HCone(cone.dim, tuple(members), cone.coords)
+        labels = tuple(label for _, label in members)
+        for index, label in enumerate(labels):
+            rows[label] = family, labels, index
+    return posmap, families, rows
 
 
 @cache
@@ -386,12 +398,14 @@ def check_isolation(w: IsolationWitness) -> Verdict:
     Membership in the reduced cone, strict slack on the target orbit's
     row, equality on every other row of the context family: the rows
     whose labels collapse through `w.context` onto the collapse of
-    `w.target`.  Only the family's rows are evaluated.  A target
-    outside that family (not a facet orbit of p) fails with the family
-    as counterexample.  The polymatroid and symmetry gate runs once
-    per witness function and partition (`_witness_vector`); the family
-    lookup, its row values and the timing run on every call, and each
-    call returns a new `Verdict`.
+    `w.target`.  Only the family's rows are evaluated, and the target's
+    row is told apart by its index in the family, not by comparing
+    labels.  A target outside that family (not a facet orbit of p)
+    fails with the family as counterexample.  The polymatroid and
+    symmetry gate runs once per witness function and partition
+    (`_witness_vector`); the family lookup (one dict get,
+    `_target_family`), its row values and the timing run on every
+    call, and each call returns a new `Verdict`.
     """
     p = w.partition
 
@@ -399,15 +413,12 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         bad, vec = _witness_vector(w.function, p)
         if bad is not None:
             return False, bad
-        _, family, labels = _target_family(p, w.target, w.context)
+        _, family, labels, target = _target_family(p, w.target, w.context)
         if family is None:
             return False, {"family": [str(lab) for lab in labels]}
-        for lab, val in zip(labels, family.row_values(vec)):
-            if lab == w.target:
-                if val <= 0:
-                    return False, {"label": str(lab), "value": str(val)}
-            elif val != 0:
-                return False, {"label": str(lab), "value": str(val)}
+        for index, val in enumerate(family.row_values(vec)):
+            if (val <= 0) if index == target else (val != 0):
+                return False, {"label": str(labels[index]), "value": str(val)}
         return True, None
 
     return _timed(

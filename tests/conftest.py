@@ -13,7 +13,10 @@ from symcone import (
     Partition,
     Ray,
     SetFunction,
+    elemental_rows,
     elements_of,
+    facet_orbit_label,
+    reduced_facet_row,
 )
 
 
@@ -251,6 +254,24 @@ def reference_clear_denominators(vec) -> tuple:
     if m == 1:
         return [x.numerator for x in vals], 1
     return [x.numerator * (m // x.denominator) for x in vals], m
+
+
+def reference_facet_reduction(p: Partition, cone) -> bool:
+    """`facet_reduction_check(p)` against the rows of `cone`, one facet
+    at a time: every elemental facet's own `facet_orbit_label` must
+    label a row of `cone` whose coefficients are the facet's own
+    `reduced_facet_row`, the row labels must be distinct, and every
+    one must be hit."""
+    by_label = {label: coeffs for coeffs, label in cone.rows}
+    if len(by_label) != len(cone.rows):
+        return False
+    hit = set()
+    for fid in elemental_rows(p.ground):
+        label = facet_orbit_label(fid, p)
+        if by_label.get(label) != reduced_facet_row(fid, p):
+            return False
+        hit.add(label)
+    return hit == set(by_label)
 
 
 # Fraction references for the integer kernels of `HCone.contains`,

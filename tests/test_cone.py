@@ -41,10 +41,11 @@ import symcone.cone as cone_module
 from symcone.cone import _eliminate, _incidence
 from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import FacetId, elemental_rows
-from symcone.symmetry import facet_orbit_label
+from symcone.symmetry import OrbitLabel, facet_orbit_label
 from symcone.verify import _context_families
 
 from conftest import (
+    all_set_partitions,
     brute_force_rays,
     dense_elemental_rows,
     fraction_conic_decompose,
@@ -56,6 +57,7 @@ from conftest import (
     fraction_row_values,
     is_certified_ray,
     random_rational_function,
+    reference_facet_reduction,
 )
 
 
@@ -567,6 +569,37 @@ class TestContains:
                 self.assert_matches_reference(cone, v)
 
 
+class TestRowValues:
+    """A vector of plain ints is read as it is; bools, `Fraction`s and
+    mixed vectors are scaled first.  Both give the reference values and
+    result types."""
+
+    def test_entry_types_match_fraction_reference(self, rng):
+        cones = TestContains.cones()
+        assert {cone._kernel is None for cone in cones} == {True, False}
+        for cone in cones:
+            for _ in range(20):
+                ints = [rng.randint(-4, 9) for _ in range(cone.dim)]
+                for v in (
+                    ints,
+                    [bool(x % 2) for x in ints],
+                    [Fraction(x) for x in ints],
+                    [Fraction(x, rng.randint(1, 5)) for x in ints],
+                    [x if i % 2 else Fraction(x, 3) for i, x in enumerate(ints)],
+                    [x if i % 2 else x > 0 for i, x in enumerate(ints)],
+                ):
+                    TestContains.assert_matches_reference(cone, v)
+                assert cone.row_values(iter(ints)) == cone.row_values(tuple(ints))
+
+    def test_wrong_length_raises_one_message(self):
+        for cone in TestContains.cones():
+            for v in ([1] * (cone.dim - 1), (1,) * (cone.dim + 1),
+                      [True] * (cone.dim + 1), [Fraction(1, 2)] * (cone.dim - 1)):
+                with pytest.raises(ValueError) as err:
+                    cone.row_values(v)
+                assert str(err.value) == "vector length does not match cone dimension"
+
+
 class TestRowKernel:
     """Rows of at most two +1 and two -1 unit terms take the `(i, j, k, l)`
     kernel; a cone with any other row takes the sparse loop.
@@ -925,6 +958,49 @@ class TestFacetReduction:
         for n in (2, 3, 4):
             for p in canonical_representatives(n):
                 assert facet_reduction_check(p)
+
+    @staticmethod
+    def partitions():
+        """Every canonical partition with n <= 7, then every set partition
+        with n <= 5, interleaved blocks such as 1,3|2,4 included."""
+        return ([p for n in range(1, 8) for p in canonical_representatives(n)]
+                + [p for n in range(1, 6) for p in all_set_partitions(n)])
+
+    def test_agrees_with_per_facet_reference(self):
+        parts = self.partitions()
+        assert "1,3|2,4" in {str(p) for p in parts}
+        for p in parts:
+            assert facet_reduction_check(p) is True, str(p)
+            assert reference_facet_reduction(p, psi_p_hrep(p)) is True, str(p)
+
+    def test_agrees_with_reference_on_corrupted_cones(self, monkeypatch):
+        # the first, a middle and the last row of each cone: a coefficient
+        # moved by one, the label of another row, the row dropped, or one
+        # more row beside it whose label no facet has (block 1 in both I
+        # and K), which only the every-label-hit check catches
+        parts = [p for n in range(2, 6) for p in canonical_representatives(n)]
+        parts.append(Partition.parse("1,3|2,4", GroundSet(4)))
+        checked = 0
+        for p in parts:
+            rows = psi_p_hrep(p).rows
+            bogus = OrbitLabel((2,) + (0,) * (p.t - 1), p.block_sizes)
+            for r in sorted({0, len(rows) // 2, len(rows) - 1}):
+                (coeffs, label), (near, other) = rows[r], rows[r - 1]
+                bumped = coeffs[:-1] + (coeffs[-1] + 1,)
+                summed = tuple(x + y for x, y in zip(coeffs, near))
+                for replaced in (((bumped, label),), ((coeffs, other),), (),
+                                 ((coeffs, label), (summed, bogus))):
+                    kept = rows[:r] + replaced + rows[r + 1:]
+                    try:
+                        bad = HCone(len(coeffs), kept, psi_p_hrep(p).coords)
+                    except ValueError:
+                        continue  # a repeated or zero row
+                    monkeypatch.setattr(cone_module, "psi_p_hrep", lambda q: bad)
+                    assert facet_reduction_check(p) is False, (str(p), r, replaced)
+                    assert reference_facet_reduction(p, bad) is False
+                    monkeypatch.undo()
+                    checked += 1
+        assert checked == 212
 
     def test_membership_equivalence_on_named_points(self):
         p = canonical_partition((2, 2))

@@ -174,18 +174,29 @@ class TestFacetBijection:
         assert v.passed and v.params == {"partition": "1,2|3,4"}
 
     def test_facet_label_outside_cone_fails(self, monkeypatch):
+        # the label table the check reads names the first row by a label
+        # that is no facet orbit of p, so the facets of that row's own
+        # label find no row
         p = canonical_partition((2, 2))
-        psi_p_hrep(p)  # build the cone before the labelling is corrupted
-        real = cone_module.facet_orbit_label
-        first = []
+        real = psi_p_hrep(p)
+        (coeffs, _), *rest = real.rows
+        corrupt = HCone(real.dim, ((coeffs, OrbitLabel((2, 0), (1, 0))), *rest),
+                        real.coords)
+        monkeypatch.setattr(cone_module, "psi_p_hrep", lambda q: corrupt)
+        v = verify_facet_bijection(p)
+        assert not v.passed
+        assert v.counterexample == {"reduction": str(p)}
 
-        def corrupt(fid, q):
-            if not first:
-                first.append(fid)
-                return OrbitLabel((2, 0), (1, 0))  # not a facet orbit of p
-            return real(fid, q)
-
-        monkeypatch.setattr(cone_module, "facet_orbit_label", corrupt)
+    @pytest.mark.parametrize("mask", range(1, 16))
+    def test_corrupted_count_position_fails(self, monkeypatch, mask):
+        # a partition equal to (2, 2) whose `count_index` sends one mask
+        # to the next count tuple: the facets through that mask get a
+        # wrong row or a wrong label
+        p = Partition(GroundSet(4), canonical_partition((2, 2)).blocks)
+        position, smallest = p.count_index
+        wrong = list(position)
+        wrong[mask] = (position[mask] + 1) % len(smallest)
+        monkeypatch.setitem(vars(p), "count_index", (tuple(wrong), smallest))
         v = verify_facet_bijection(p)
         assert not v.passed
         assert v.counterexample == {"reduction": str(p)}
@@ -712,14 +723,20 @@ class TestIsolations:
                 for ctx in reps:
                     if not covers(ctx, p):
                         continue
-                    _, families = verify_module._context_families(p, ctx)
+                    _, families, by_label = verify_module._context_families(p, ctx)
                     for _, label in rows:
                         want = collapse_label(label, p, ctx)
                         family = [row for row in rows
                                   if collapse_label(row[1], p, ctx) == want]
                         key = (want.lambda_I, want.lambda_K)
                         assert list(families[key].rows) == family
+                        # each row label reads its family, labels and index
+                        cone, labels, index = by_label[label]
+                        assert cone is families[key]
+                        assert labels == tuple(lab for _, lab in family)
+                        assert labels[index] == label
                     assert sum(len(f.rows) for f in families.values()) == len(rows)
+                    assert len(by_label) == len(rows)
 
     def test_context_families_share_the_cone_rows(self):
         # each family row holds the cone's own coefficient tuple, not a copy
@@ -730,19 +747,49 @@ class TestIsolations:
                 for ctx in reps:
                     if not covers(ctx, p):
                         continue
-                    _, families = verify_module._context_families(p, ctx)
+                    _, families, by_label = verify_module._context_families(p, ctx)
                     for family in families.values():
                         for coeffs, label in family.rows:
                             assert coeffs is parent[label]
+                    for label, (family, _, index) in by_label.items():
+                        assert family.rows[index][0] is parent[label]
 
     def test_context_families_built_once_per_pair(self):
         verify_module._context_families.cache_clear()
+        read = []
         for _ in range(2):
             p = canonical_partition((1, 1, 2))
+            ctx = canonical_partition((2, 2))
             for label in orbit_labels(p):
-                assert check_isolation(
-                    build_isolation(p, label, canonical_partition((2, 2)))).passed
+                assert check_isolation(build_isolation(p, label, ctx)).passed
+                read.append(verify_module._target_family(p, label, ctx)[1])
         assert verify_module._context_families.cache_info().misses == 1
+        # both passes read the same family cones
+        half = len(read) // 2
+        assert all(a is b for a, b in zip(read[:half], read[half:]))
+
+    def test_retargeted_witness_fails_on_the_first_wrong_row(self):
+        # a witness moved to another label of its family has slack on
+        # its own row and none on the new target's; the check reports
+        # whichever of the two rows comes first in the family
+        cases = {True: 0, False: 0}  # by whether the new target comes first
+        for p, ctx in benchmark_isolation_pairs():
+            for label in orbit_labels(p):
+                w = build_isolation(p, label, ctx)
+                _, family, labels, own = verify_module._target_family(p, label, ctx)
+                slack = family.row_values(to_sym(w.function, p).free_values())[own]
+                for index, other in enumerate(labels):
+                    if other == label:
+                        continue
+                    v = check_isolation(IsolationWitness(p, other, ctx, w.function))
+                    assert not v.passed
+                    if index < own:
+                        want = {"label": str(other), "value": "0"}
+                    else:
+                        want = {"label": str(label), "value": str(slack)}
+                    assert v.counterexample == want
+                    cases[index < own] += 1
+        assert cases == {True: 407, False: 407}
 
 
 class TestWitnessGate:
