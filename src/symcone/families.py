@@ -59,13 +59,18 @@ def uniform_factor(p: Partition, rank: int, weights) -> SetFunction:
     factor of a uniform matroid giving each element of block b its own
     weights[b] columns (0 makes loops).  ValueError unless the rank and
     the weights are nonnegative ints, one weight per block."""
+    return from_sym(SymVector(p, uniform_factor_values(p, rank, weights)))
+
+
+def uniform_factor_values(p: Partition, rank: int, weights) -> tuple:
+    """The reduced values of `uniform_factor(p, rank, weights)`, one int
+    per count tuple of p in `p.count_tuples` order, with its errors."""
     weights = tuple(weights)
     if len(weights) != p.t or any(type(w) is not int or w < 0 for w in weights):
         raise ValueError(f"weights {weights} must be one nonnegative int per block")
     if type(rank) is not int or rank < 0:
         raise ValueError(f"rank {rank!r} must be a nonnegative int")
-    values = [min(rank, sum(map(mul, weights, k))) for k in p.count_tuples]
-    return from_sym(SymVector(p, values))
+    return tuple([min(rank, sum(map(mul, weights, k))) for k in p.count_tuples])
 
 
 def uniform(m: int, n: int) -> SetFunction:

@@ -177,13 +177,6 @@ class SetFunction:
         once per function for the integer scans."""
         return _clear_denominators(self.values)
 
-    @cached_property
-    def _gates(self) -> dict:
-        """The outcome of the witness gate (`verify._witness_vector`)
-        per partition, filled by that gate: the function is immutable,
-        so an outcome holds for its lifetime."""
-        return {}
-
     @classmethod
     def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
         return cls(ground, tuple(fn(a) for a in ground.subsets()))

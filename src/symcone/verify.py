@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 from .cone import (
     DecomposeResult,
-    HCone,
     _eliminate,
     conic_decompose,
     extreme_rays,
@@ -22,7 +21,7 @@ from .cone import (
     normalize_ray,
     psi_p_hrep,
 )
-from .families import family_Un, gap_witness_blocks, uniform, uniform_factor
+from .families import family_Un, gap_witness_blocks, uniform, uniform_factor_values
 from .partitions import (
     Partition,
     block_map,
@@ -36,7 +35,6 @@ from .setfn import (
     SetFunction,
     elements_of,
     form_value,
-    polymatroid_violation,
     zhang_yeung_form,
 )
 from .symmetry import (
@@ -61,21 +59,45 @@ class Verdict:
     elapsed_ms: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsolationWitness:
     """Function pinned to every facet orbit of a context family except one.
 
     `context` is the coarser partition, merging exactly two blocks of
     `partition`, whose orbit is being split.  The family is the set of
-    p-orbits that collapse onto the context orbit of `target`; it is
-    derived from `target`, not stored.  Above the one-block partition
-    there is no coarser context: `verify_psi_n` checks that case.
+    p-orbits that collapse onto the context orbit of `target`.  Above
+    the one-block partition there is no coarser context: `verify_psi_n`
+    checks that case.
+
+    A witness is held one of two ways.  `build_isolation` returns an
+    entry of the (p, context) witness table: `vector` is its reduced
+    int vector, origin dropped, and `_entry` its family rows, their
+    labels, the target's index among them and its gate outcome, all
+    fixed when the table was built; its `function` is built by
+    `from_sym` on first read, once per (p, vector).
+    `IsolationWitness(p, target, context, h)` wraps a dense function h
+    instead: its `vector` is None, and `check_isolation` reduces and
+    gates h on every call.  Equality is identity.
     """
 
     partition: Partition
     target: OrbitLabel
     context: Partition
-    function: SetFunction
+    dense: InitVar[Optional[SetFunction]] = None
+    vector: Optional[tuple] = None
+    _entry: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self, dense) -> None:
+        if (dense is None) == (self._entry is None):
+            raise ValueError("a witness takes exactly one of a dense function "
+                             "and a table entry")
+        if dense is not None:
+            self.__dict__["function"] = dense  # read before `function` builds one
+
+    @cached_property
+    def function(self) -> SetFunction:
+        """The witness as a dense `SetFunction`, shared by equal vectors."""
+        return _witness_function(self.partition, self.vector)
 
 
 def _timed(claim: str, params: dict, run) -> Verdict:
@@ -197,34 +219,41 @@ def two_block_coarsening(p: Partition) -> Optional[Partition]:
     return None
 
 
-def _witness_vector(h: SetFunction, p: Partition) -> tuple:
-    """`(counterexample, vec)`, the gate of every witness check: the first
-    violated facet unless h is a polymatroid, else the partition unless
-    h is p-symmetric, else None and the reduced vector of h, as an int
-    tuple when every coordinate is an integer.
+@cache
+def _reduction_holds(p: Partition) -> bool:
+    """`facet_reduction_check(p)`, run once per partition for the
+    witness gate; `verify_facet_bijection` runs it afresh each time."""
+    return facet_reduction_check(p)
 
-    The two scans run once per function object and partition:
-    `h._gates[p]` keeps the violated `FacetId` (or None) and the vector
-    (None when h is not p-symmetric), and each call builds its
-    counterexample dict anew."""
-    gate = h._gates.get(p)
-    if gate is None:
-        bad, vec = polymatroid_violation(h), None
-        if bad is None:
-            try:
-                vec = to_sym(h, p).free_values()
-            except SymmetryError:
-                pass
-            else:
-                if all(x.denominator == 1 for x in vec):
-                    vec = tuple(x.numerator for x in vec)
-        gate = h._gates[p] = bad, vec
-    bad, vec = gate
-    if bad is not None:
-        return {"violated": str(bad)}, None
-    if vec is None:
+
+def _gate(p: Partition, vec) -> Optional[dict]:
+    """None when the reduced vector `vec` of a p-symmetric witness is a
+    polymatroid, else a new counterexample dict.
+
+    By the facet reduction a p-symmetric function is a polymatroid iff
+    its reduced vector lies in Psi_p, so the gate is Psi_p membership,
+    resting on a reduction checked for p (`_reduction_holds`): a
+    partition where it fails gives `{"reduction": str(p)}`, a vector
+    outside the cone `{"violated": label}`, naming the first row of
+    `psi_p_hrep(p)` that is negative on it."""
+    if not _reduction_holds(p):
+        return {"reduction": str(p)}
+    cone = psi_p_hrep(p)
+    if cone.contains(vec):
+        return None
+    return {"violated": next(str(label) for (_, label), value
+                             in zip(cone.rows, cone.row_values(vec)) if value < 0)}
+
+
+def _dense_gate(h: SetFunction, p: Partition) -> tuple:
+    """`(counterexample, vec)` for a witness given as a dense function:
+    `{"symmetry": str(p)}` unless h is p-symmetric, else `_gate` of its
+    reduced vector, and that vector (Fractions, origin dropped)."""
+    try:
+        vec = to_sym(h, p).free_values()
+    except SymmetryError:
         return {"symmetry": str(p)}, None
-    return None, vec
+    return _gate(p, vec), vec
 
 
 def verify_gap(p: Partition) -> Verdict:
@@ -249,11 +278,9 @@ def verify_gap(p: Partition) -> Verdict:
 
     def run():
         witness = gap_witness_blocks(coarse)
-        bad, vec = _witness_vector(witness, p)
+        bad, _ = _dense_gate(witness, p)
         if bad is not None:
             return False, bad
-        if not psi_p_hrep(p).contains(vec):
-            return False, {"membership": [str(x) for x in vec]}
         first, second = (elements_of(b)[:2] for b in coarse.blocks)
         value = form_value(zhang_yeung_form(p.ground, first + second), witness)
         if value != -1:
@@ -292,8 +319,9 @@ def _collapse(label: OrbitLabel, posmap: tuple, t2: int) -> tuple:
 
 
 def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> IsolationWitness:
-    """Construct the explicit witness isolating a facet orbit of p
-    inside its context family.
+    """The explicit witness isolating a facet orbit of p inside its
+    context family: the entry of `target` in the witness table of
+    (p, context), built once per pair (`_isolation_table`).
 
     `target` must label a facet orbit of p, and `context` must merge
     exactly two blocks u, v of p; else ValueError.  A B label with both
@@ -308,115 +336,126 @@ def build_isolation(p: Partition, target: OrbitLabel, context: Partition) -> Iso
     the 0/1 weights of a support of blocks: an A label on block l takes
     support {l} and rank n_l; any other label the blocks it touches,
     plus u when none of them is u or v, and rank 1 + the sum of
-    lambda_K over the support.  Each witness function is built once per
-    distinct key, after every check has passed, and shared by every
-    witness with that key; the `IsolationWitness` is new on each call.
+    lambda_K over the support.
     """
-    posmap, family, _, _ = _target_family(p, target, context)
-    if family is None:
+    witness = _isolation_table(p, context).get(target)
+    if witness is None:
         raise ValueError(f"label {target} does not name a facet orbit of {p}")
+    return witness
+
+
+@cache
+def _isolation_table(p: Partition, context: Partition) -> dict:
+    """The witness of each facet-orbit label of p in a context merging
+    two of its blocks, built once per pair; a context that does not
+    merge exactly two blocks raises ValueError on every call.
+
+    The rows of `psi_p_hrep(p)` are grouped into context families by
+    their collapse through `context`, in row order; a family's rows are
+    the cone's own `_kernel` entries `(i, j, k, l)`.  Each label's
+    merged pair, support and rank are worked out here, once, into its
+    reduced vector, and each distinct vector is gated once (`_gate`).
+    The table maps each label to an `IsolationWitness` holding that
+    vector and `_entry = (rows, labels, index, gate)`."""
+    posmap = _merge_map(p, context)
     # the merged pair: the two p-blocks sharing a context block
     u, v = (i for i, c in enumerate(posmap) if posmap.count(c) == 2)
-    touched = {i - 1 for i in target.blocks_touched()}
-    lk = target.lambda_K
+    cone = psi_p_hrep(p)
+    families: dict = {}
+    for row, (_, label) in zip(cone._kernel, cone.rows):
+        families.setdefault(_collapse(label, posmap, context.t), []).append((row, label))
+    gates: dict = {}
+    table = {}
+    for members in families.values():
+        rows = tuple(row for row, _ in members)
+        labels = tuple(label for _, label in members)
+        for index, label in enumerate(labels):
+            vec = _isolation_vector(p, label, u, v)
+            if vec not in gates:
+                gates[vec] = _gate(p, vec)
+            table[label] = IsolationWitness(
+                p, label, context, vector=vec, _entry=(rows, labels, index, gates[vec]))
+    return table
+
+
+def _isolation_vector(p: Partition, label: OrbitLabel, u: int, v: int) -> tuple:
+    """The reduced int vector, origin dropped, of the witness of the
+    facet-orbit `label` when blocks u, v of p are merged (see
+    `build_isolation`): its key, then the vector built once per key."""
+    touched = {i - 1 for i in label.blocks_touched()}
+    lk = label.lambda_K
     if touched == {u, v}:
-        return IsolationWitness(p, target, context,
-                                _split_pair_witness(p, u, v, lk[u], lk[v]))
-    if target.kind == "A":
+        return _split_pair_vector(p, u, v, lk[u], lk[v])
+    if label.kind == "A":
         support, rank = touched, p.block_sizes[min(touched)]
     else:
         support = touched if touched & {u, v} else touched | {u}
         rank = 1 + sum(lk[i] for i in support)
-    return IsolationWitness(p, target, context,
-                            _uniform_witness(p, tuple(sorted(support)), rank))
-
-
-def _target_family(p: Partition, target: OrbitLabel, context: Partition) -> tuple:
-    """`(posmap, family, labels, index)`: `_context_families(p, context)`'s
-    block map, and for a facet-orbit target its row's family cone,
-    family labels and row index, one dict get.  Any other target has
-    family and index None; its labels are those of the family its
-    collapse names, empty when there is none."""
-    posmap, families, rows = _context_families(p, context)
-    row = rows.get(target)
-    if row is not None:
-        return (posmap, *row)
-    family = families.get(_collapse(target, posmap, context.t))
-    labels = () if family is None else tuple(label for _, label in family.rows)
-    return posmap, None, labels, None
+    return _uniform_vector(p, tuple(sorted(support)), rank)
 
 
 @cache
-def _context_families(p: Partition, context: Partition) -> tuple:
-    """`(posmap, families, rows)` for a context merging two blocks of p,
-    the one table both halves of the isolation claim read: `posmap` is
-    `_merge_map(p, context)`, `families` maps each collapsed label
-    `(lambda_I, lambda_K)` to an `HCone` of the rows of `psi_p_hrep(p)`
-    that collapse onto it, in row order, and `rows` maps the label of
-    each row to `(family, labels, index)`: its family cone, that
-    family's labels and its index among them.  Built once per pair; a
-    context that does not merge exactly two blocks raises ValueError
-    on every call."""
-    posmap = _merge_map(p, context)
-    cone = psi_p_hrep(p)
-    grouped: dict = {}
-    for coeffs, label in cone.rows:
-        grouped.setdefault(_collapse(label, posmap, context.t), []).append((coeffs, label))
-    families, rows = {}, {}
-    for key, members in grouped.items():
-        family = families[key] = HCone(cone.dim, tuple(members), cone.coords)
-        labels = tuple(label for _, label in members)
-        for index, label in enumerate(labels):
-            rows[label] = family, labels, index
-    return posmap, families, rows
-
-
-@cache
-def _split_pair_witness(p: Partition, u: int, v: int, k1: int, k2: int) -> SetFunction:
+def _split_pair_vector(p: Partition, u: int, v: int, k1: int, k2: int) -> tuple:
     """The split-pair witness of `build_isolation` for the merged blocks
-    u, v of p and the counts k1, k2 of its target's lambda_K on them,
-    built once per key and shared by every label with that key."""
+    u, v of p and the counts k1, k2 of its target's lambda_K on them."""
     n1, n2 = p.block_sizes[u], p.block_sizes[v]
-    values = [i * n2 + j * n1 - i * j
-              - max(0, j - k2 - 1) * max(0, k1 - i)
-              - max(0, i - k1 - 1) * max(0, k2 - j)
-              for i, j in ((k[u], k[v]) for k in p.count_tuples)]
-    return from_sym(SymVector(p, values))
+    return tuple([i * n2 + j * n1 - i * j
+                  - max(0, j - k2 - 1) * max(0, k1 - i)
+                  - max(0, i - k1 - 1) * max(0, k2 - j)
+                  for i, j in ((k[u], k[v]) for k in p.count_tuples[1:])])
 
 
 @cache
-def _uniform_witness(p: Partition, support: tuple, rank: int) -> SetFunction:
-    """`uniform_factor(p, rank, weights)` with weight 1 on the blocks of
-    the sorted index tuple `support` and 0 elsewhere, built once per key
-    and shared by every label with that key."""
-    return uniform_factor(p, rank, [int(i in support) for i in range(p.t)])
+def _uniform_vector(p: Partition, support: tuple, rank: int) -> tuple:
+    """`uniform_factor_values(p, rank, weights)`, origin dropped, with
+    weight 1 on the blocks of the sorted index tuple `support` and 0
+    elsewhere."""
+    return uniform_factor_values(p, rank, [int(i in support) for i in range(p.t)])[1:]
+
+
+@cache
+def _witness_function(p: Partition, vec: tuple) -> SetFunction:
+    """`from_sym` of a table witness vector, built once per (p, vec)
+    and shared by every witness with that vector."""
+    return from_sym(SymVector(p, (0, *vec)))
 
 
 def check_isolation(w: IsolationWitness) -> Verdict:
     """Verify the three isolation conditions exactly.
 
-    Membership in the reduced cone, strict slack on the target orbit's
-    row, equality on every other row of the context family: the rows
-    whose labels collapse through `w.context` onto the collapse of
-    `w.target`.  Only the family's rows are evaluated, and the target's
-    row is told apart by its index in the family, not by comparing
-    labels.  A target outside that family (not a facet orbit of p)
-    fails with the family as counterexample.  The polymatroid and
-    symmetry gate runs once per witness function and partition
-    (`_witness_vector`); the family lookup (one dict get,
-    `_target_family`), its row values and the timing run on every
-    call, and each call returns a new `Verdict`.
+    Membership in the reduced cone (the gate), strict slack on the
+    target orbit's row, equality on every other row of the context
+    family: the rows whose labels collapse through `w.context` onto the
+    collapse of `w.target`.  Only the family's rows are evaluated, and
+    the target's row is told apart by its index in the family.  A
+    table witness carries its vector, family rows and gate outcome, so
+    the check reads them and looks nothing up.  A dense witness is
+    reduced and gated on every call (`_dense_gate`), after its table
+    is found, and reads the family rows of its target's table entry; a
+    target outside that table (not a facet orbit of p) fails with the
+    labels of the family its collapse names as counterexample.  Each
+    call returns a new `Verdict` and counterexample dict.
     """
     p = w.partition
 
     def run():
-        bad, vec = _witness_vector(w.function, p)
-        if bad is not None:
-            return False, bad
-        _, family, labels, target = _target_family(p, w.target, w.context)
-        if family is None:
-            return False, {"family": [str(lab) for lab in labels]}
-        for index, val in enumerate(family.row_values(vec)):
+        if w._entry is None:
+            table = _isolation_table(p, w.context)
+            bad, vec = _dense_gate(w.function, p)
+            if bad is not None:
+                return False, bad
+            own = table.get(w.target)
+            if own is None:
+                return False, {"family": _family_labels(p, w.target, w.context)}
+            rows, labels, target, _ = own._entry
+        else:
+            rows, labels, target, bad = w._entry
+            if bad is not None:
+                return False, dict(bad)
+            vec = w.vector
+        x = [*vec, 0]  # index dim: the zero slot of a kernel row's missing term
+        for index, (i, j, k, l) in enumerate(rows):
+            val = x[i] + x[j] - x[k] - x[l]
             if (val <= 0) if index == target else (val != 0):
                 return False, {"label": str(labels[index]), "value": str(val)}
         return True, None
@@ -430,6 +469,15 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         },
         run,
     )
+
+
+def _family_labels(p: Partition, target: OrbitLabel, context: Partition) -> list:
+    """The labels, as text in row order, of the context family that the
+    collapse of `target` names; empty when it names none."""
+    posmap = _merge_map(p, context)
+    key = _collapse(target, posmap, context.t)
+    return [str(label) for _, label in psi_p_hrep(p).rows
+            if _collapse(label, posmap, context.t) == key]
 
 
 # ---------------------------------------------------------------------------

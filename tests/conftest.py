@@ -354,6 +354,18 @@ def fraction_symmetry_violation(values, blocks):
     return None
 
 
+def dense_witness_gate(h: SetFunction, p: Partition):
+    """The witness gate read off the dense function, the oracle of the
+    reduced Psi_p gate: "polymatroid" unless every elemental inequality
+    holds (`fraction_first_violation`), else "symmetry" unless h is
+    p-symmetric, else None."""
+    if fraction_first_violation(h.values, h.n) is not None:
+        return "polymatroid"
+    if fraction_symmetry_violation(h.values, p.blocks) is not None:
+        return "symmetry"
+    return None
+
+
 # Fraction-tableau simplex, the reference for the integer `conic_decompose`.
 
 

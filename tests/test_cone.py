@@ -42,7 +42,7 @@ from symcone.cone import _eliminate, _incidence
 from symcone.families import random_polymatroid, random_symmetric_function
 from symcone.setfn import FacetId, elemental_rows
 from symcone.symmetry import OrbitLabel, facet_orbit_label
-from symcone.verify import _context_families
+from symcone.verify import _isolation_table
 
 from conftest import (
     all_set_partitions,
@@ -647,14 +647,18 @@ class TestRowKernel:
             assert gamma_n_hrep(GroundSet(n))._kernel is not None
             for p in canonical_representatives(n):
                 assert psi_p_hrep(p)._kernel is not None
+        # the isolation tables evaluate family rows through the cone's
+        # own kernel entries, not copies
         families = 0
         for n in range(2, 6):
             reps = canonical_representatives(n)
             for p in reps:
+                kernel = psi_p_hrep(p)._kernel
                 for ctx in reps:
                     if covers(ctx, p):
-                        for family in _context_families(p, ctx)[1].values():
-                            assert family._kernel is not None
+                        for w in _isolation_table(p, ctx).values():
+                            rows = w._entry[0]
+                            assert all(any(row is k for k in kernel) for row in rows)
                             families += 1
         assert families > 0
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symcone import (
+    DecomposeResult,
     GroundSet,
     HCone,
     OrbitLabel,
@@ -43,15 +44,18 @@ from symcone import (
 )
 import symcone.cone as cone_module
 import symcone.verify as verify_module
+from symcone.families import gap_witness_blocks, uniform_factor_values
 from symcone.partitions import block_map
 from symcone.verify import GAP_PARTS, IsolationWitness, run_suite
 
-from conftest import all_set_partitions
+from conftest import all_set_partitions, dense_witness_gate
 
 
 def squared_count(p):
-    """|A|**2 on p's ground set: p-symmetric, but no polymatroid, and
-    the first elemental row it breaks is E(1,2|-) (1 + 1 < 4)."""
+    """|A|**2 on p's ground set: p-symmetric, but no polymatroid.  On
+    a two-block p the first row of Psi_p it breaks is the split pair
+    [1_2(1,2)|0,0] (1 + 1 < 0 + 4); the first elemental row it breaks
+    is E(1,2|-)."""
     return from_sym(SymVector(p, tuple(sum(k) ** 2 for k in p.count_tuples)))
 
 
@@ -140,6 +144,22 @@ class TestRayInventories:
         v = verify_psi_1n1(4)
         assert not v.passed
         assert v.counterexample == {"uncertified_ray": list(direction)}
+
+    def test_ray_outside_the_cone_fails(self, monkeypatch):
+        # the negated ray has the same zero rows, so its tight mask and
+        # their rank match; only its negative row values show it is not
+        # in the cone
+        real = verify_module.extreme_rays
+        cone = psi_p_hrep(canonical_partition((1, 3)))
+        a, *rest = real(cone)
+        flipped = Ray(tuple(-x for x in a.direction), a.tight)
+        assert min(cone.row_values(flipped.direction)) < 0
+        assert verify_module._uncertified_ray(cone, [a]) is None
+        assert verify_module._uncertified_ray(cone, [flipped]) is flipped
+        monkeypatch.setattr(verify_module, "extreme_rays", lambda c: [flipped] + rest)
+        v = verify_psi_1n1(4)
+        assert not v.passed
+        assert v.counterexample == {"uncertified_ray": list(flipped.direction)}
 
     def test_short_family_fails(self, monkeypatch):
         # n = 4 has 1 + 3 + 6 generators; one fewer is caught by its count
@@ -260,11 +280,11 @@ class TestGap:
         assert v.counterexample == {"symmetry": str(p)}
 
     def test_non_polymatroid_witness_fails(self, monkeypatch):
-        # the polymatroid half of the witness gate, before symmetry
+        # the Psi_p membership half of the witness gate, after symmetry
         monkeypatch.setattr(verify_module, "gap_witness_blocks", squared_count)
         v = verify_gap(canonical_partition((2, 2)))
         assert not v.passed
-        assert v.counterexample == {"violated": "E(1,2|-)"}
+        assert v.counterexample == {"violated": "[1_2(1,2)|0,0]"}
 
     def test_witness_off_the_form_bound_fails(self, monkeypatch):
         # U_{2,4} passes the gate and lies in the cone, but the form is
@@ -276,7 +296,7 @@ class TestGap:
 
     def test_witness_outside_the_cone_fails(self, monkeypatch):
         # a one-row cone asking for a value <= 0 on the tuple (0,1),
-        # where the witness is 2; the payload is its reduced vector
+        # where the witness is 2; the payload names that row
         p = canonical_partition((2, 2))
         cone = psi_p_hrep(p)
         row = (-1,) + (0,) * (cone.dim - 1)
@@ -284,7 +304,15 @@ class TestGap:
                             lambda q: HCone(cone.dim, ((row, "h(0,1) <= 0"),), cone.coords))
         v = verify_gap(p)
         assert not v.passed
-        assert v.counterexample == {"membership": ["2", "3", "2", "3", "4", "4", "4", "4"]}
+        assert v.counterexample == {"violated": "h(0,1) <= 0"}
+
+    def test_form_value_below_minus_one_fails(self, monkeypatch):
+        # the witness is pinned to the form value -1, so a value further
+        # below 0 fails too
+        monkeypatch.setattr(verify_module, "form_value", lambda form, h: Fraction(-2))
+        v = verify_gap(canonical_partition((2, 2)))
+        assert not v.passed
+        assert v.counterexample == {"zy_value": "-2"}
 
     def test_inapplicable_messages(self):
         theorem = ("no gap witness exists: with one block, or two blocks one of "
@@ -345,9 +373,10 @@ def benchmark_isolation_pairs():
 
 
 def gate_spy(monkeypatch):
-    """Count the gate's scans: `verify.polymatroid_violation` and
-    `verify.to_sym` calls, by name."""
-    scans = {"polymatroid": 0, "symmetry": 0}
+    """Count the gate's steps by name: the Psi_p membership gate
+    (`verify._gate`) and the symmetry scan of a dense witness
+    (`verify.to_sym`)."""
+    scans = {"membership": 0, "symmetry": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -355,11 +384,29 @@ def gate_spy(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(verify_module, "polymatroid_violation",
-                        counting("polymatroid", verify_module.polymatroid_violation))
+    monkeypatch.setattr(verify_module, "_gate",
+                        counting("membership", verify_module._gate))
     monkeypatch.setattr(verify_module, "to_sym",
                         counting("symmetry", verify_module.to_sym))
     return scans
+
+
+#: What the isolation checks build once and keep: the witness tables,
+#: their vectors and functions, and the per-partition reduction check.
+WITNESS_CACHES = ("_isolation_table", "_split_pair_vector", "_uniform_vector",
+                  "_witness_function", "_reduction_holds")
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the witness caches before and after a test, so a test that
+    patches what they read neither finds nor leaves a kept outcome."""
+    def clear():
+        for name in WITNESS_CACHES:
+            getattr(verify_module, name).cache_clear()
+    clear()
+    yield
+    clear()
 
 
 class TestIsolations:
@@ -410,40 +457,36 @@ class TestIsolations:
         assert digest.hexdigest() == (
             "6f7c02f71d21646fd8431f82bb0a05f52c766d6690462fc6b3fb8b02c991f318")
 
-    def test_non_grid_witnesses_are_uniform_factors(self, monkeypatch):
-        # every witness but the split-pair grid is one uniform_factor
-        # call, made once per distinct (p, rank, weights) and shared by
-        # every label with that key
+    def test_non_grid_witnesses_are_uniform_factors(self, monkeypatch, fresh_tables):
+        # every witness but the split-pair grid is the vector of one
+        # uniform_factor_values call, made once per distinct
+        # (p, rank, weights) and shared by every label with that key
         built = {}
 
         def spy(p, rank, weights):
             key = (p, rank, tuple(weights))
             assert key not in built
-            built[key] = uniform_factor(p, rank, weights)
+            built[key] = uniform_factor_values(p, rank, weights)
             return built[key]
 
-        monkeypatch.setattr(verify_module, "uniform_factor", spy)
-        verify_module._uniform_witness.cache_clear()
-        verify_module._split_pair_witness.cache_clear()
+        monkeypatch.setattr(verify_module, "uniform_factor_values", spy)
         counts = {"A": 0, "support": 0, "grid": 0}
-        grids = set()
+        grids, uniforms = set(), set()
         for p, ctx in benchmark_isolation_pairs():
             posmap = block_map(p, ctx)
             pair = {i for i, c in enumerate(posmap) if posmap.count(c) == 2}
             for label in orbit_labels(p):
-                before = len(built)
                 w = build_isolation(p, label, ctx)
                 if {i - 1 for i in label.blocks_touched()} == pair:
                     counts["grid"] += 1
-                    assert len(built) == before
-                    grids.add(id(w.function))
+                    grids.add(id(w.vector))
                 else:
                     counts["A" if label.kind == "A" else "support"] += 1
-                    assert len(built) - before in (0, 1)
-                    assert any(w.function is f for f in built.values())
+                    uniforms.add(id(w.vector))
+                    assert any(key[0] is p and w.vector == values[1:]
+                               for key, values in built.items())
         assert counts == {"A": 65, "support": 361, "grid": 115}
-        assert len(built) == 122 and len(grids) == 59
-        verify_module._uniform_witness.cache_clear()
+        assert len(built) == len(uniforms) == 122 and len(grids) == 59
 
     def test_labels_with_one_split_pair_key_share_a_function(self):
         # both labels have their legs on the merged blocks 1, 2 with
@@ -469,10 +512,14 @@ class TestIsolations:
         assert check_isolation(a).passed and check_isolation(b).passed
 
     def test_rejected_inputs_cache_no_witness(self):
-        caches = (verify_module._split_pair_witness, verify_module._uniform_witness)
-        sizes = [c.cache_info().currsize for c in caches]
+        # the table of a valid (partition, context) pair holds every
+        # label's witness, so only the tables of the pairs named below
+        # are built first
         p = canonical_partition((2, 2))
         q = canonical_partition((1, 1, 2))
+        verify_module._isolation_table(p, canonical_partition((4,)))
+        caches = [getattr(verify_module, name) for name in WITNESS_CACHES]
+        sizes = [c.cache_info().currsize for c in caches]
         # a label of no orbit, a split pair whose lambda_K no orbit has,
         # and a context that merges three blocks
         cases = [
@@ -497,7 +544,8 @@ class TestIsolations:
                      for p, ctx in benchmark_isolation_pairs()
                      for label in orbit_labels(p)]
         shared = {id(w.function): w.function for w in witnesses}
-        assert (len(witnesses), len(shared)) == (541, 181)
+        # one function per distinct (p, vector): 181 witness keys, 159 vectors
+        assert (len(witnesses), len(shared)) == (541, 159)
         before = {key: (f.values, list(f._scaled[0]), f._scaled[1])
                   for key, f in shared.items()}
         for w in witnesses:
@@ -595,6 +643,17 @@ class TestIsolations:
         ]
         assert covers5 and all(v.passed for v in verdicts)
 
+    def test_suite_decompose_verdict_fails_on_infeasible_result(self, monkeypatch):
+        # a decomposition that comes back infeasible fails its verdict,
+        # with the separating certificate as counterexample
+        result = DecomposeResult(False, certificate=(Fraction(-1, 2), Fraction(1)))
+        monkeypatch.setattr(verify_module, "decompose_1n", lambda h, n: result)
+        verdicts = [v for v in run_suite(2) if v.claim == "decompose"]
+        assert len(verdicts) == 10
+        for v in verdicts:
+            assert not v.passed
+            assert v.counterexample == {"certificate": ["-1/2", "1"]}
+
     def test_suite_rejects_n_max_below_two(self):
         for n_max in (1, 0, -3):
             with pytest.raises(ValueError, match="n_max"):
@@ -620,6 +679,17 @@ class TestIsolations:
                       for _ in range(2))
         assert cold == warm
         assert all(passed for _, _, passed in cold)
+
+    def test_witness_takes_a_function_or_a_table_entry(self):
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        w = build_isolation(p, orbit_labels(p)[0], ctx)
+        for args, kwargs in (((), {}),
+                             ((w.function,), {"vector": w.vector, "_entry": w._entry})):
+            with pytest.raises(ValueError, match="exactly one of"):
+                IsolationWitness(p, w.target, ctx, *args, **kwargs)
+        dense = IsolationWitness(p, w.target, ctx, w.function)
+        assert dense.vector is None and dense.function is w.function
 
     def test_corrupted_witness_fails(self):
         p = canonical_partition((2, 2))
@@ -648,7 +718,7 @@ class TestIsolations:
         bad = IsolationWitness(p, target, canonical_partition((4,)), squared_count(p))
         v = check_isolation(bad)
         assert not v.passed
-        assert v.counterexample == {"violated": "E(1,2|-)"}
+        assert v.counterexample == {"violated": "[1_2(1,2)|0,0]"}
 
     def test_witness_strict_on_another_family_row_fails(self):
         p = canonical_partition((2, 2))
@@ -701,7 +771,7 @@ class TestIsolations:
             check_isolation(bad)
 
     def test_rejected_context_raises_on_every_call(self, monkeypatch):
-        # also once the function's gate is kept: no scan runs again
+        # before any scan of the dense function
         p = canonical_partition((1, 1, 2))
         good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
         assert check_isolation(good).passed
@@ -711,60 +781,61 @@ class TestIsolations:
                                    good.function)
             with pytest.raises(ValueError, match="merge exactly two blocks"):
                 check_isolation(bad)
-        assert scans == {"polymatroid": 0, "symmetry": 0}
+        assert scans == {"membership": 0, "symmetry": 0}
 
     def test_context_families_group_rows_by_collapse(self):
-        # each family is an HCone holding the cone's rows (coefficients
-        # and label) that share one collapse, in the cone's row order
+        # each label's witness holds the family of its row: the cone's
+        # rows (kernel entries and labels) that share one collapse, in
+        # the cone's row order, and its own index among them
         for n in range(2, 6):
             reps = canonical_representatives(n)
             for p in reps:
-                rows = psi_p_hrep(p).rows
+                cone = psi_p_hrep(p)
+                rows = list(zip(cone._kernel, (label for _, label in cone.rows)))
                 for ctx in reps:
                     if not covers(ctx, p):
                         continue
-                    _, families, by_label = verify_module._context_families(p, ctx)
+                    table = verify_module._isolation_table(p, ctx)
                     for _, label in rows:
                         want = collapse_label(label, p, ctx)
                         family = [row for row in rows
                                   if collapse_label(row[1], p, ctx) == want]
-                        key = (want.lambda_I, want.lambda_K)
-                        assert list(families[key].rows) == family
-                        # each row label reads its family, labels and index
-                        cone, labels, index = by_label[label]
-                        assert cone is families[key]
-                        assert labels == tuple(lab for _, lab in family)
-                        assert labels[index] == label
-                    assert sum(len(f.rows) for f in families.values()) == len(rows)
-                    assert len(by_label) == len(rows)
+                        w = table[label]
+                        kernel, labels, index, gate = w._entry
+                        assert (w.partition, w.target, w.context) == (p, label, ctx)
+                        assert list(zip(kernel, labels)) == family
+                        assert labels[index] == label and gate is None
+                    assert len(table) == len(rows)
 
     def test_context_families_share_the_cone_rows(self):
-        # each family row holds the cone's own coefficient tuple, not a copy
+        # each family row is the cone's own kernel entry, not a copy, and
+        # the witnesses of one family share one tuple of rows
         for n in range(2, 6):
             reps = canonical_representatives(n)
             for p in reps:
-                parent = {label: coeffs for coeffs, label in psi_p_hrep(p).rows}
+                cone = psi_p_hrep(p)
+                parent = {label: row for row, (_, label) in zip(cone._kernel, cone.rows)}
                 for ctx in reps:
                     if not covers(ctx, p):
                         continue
-                    _, families, by_label = verify_module._context_families(p, ctx)
-                    for family in families.values():
-                        for coeffs, label in family.rows:
-                            assert coeffs is parent[label]
-                    for label, (family, _, index) in by_label.items():
-                        assert family.rows[index][0] is parent[label]
+                    table = verify_module._isolation_table(p, ctx)
+                    for w in table.values():
+                        rows, labels, _, _ = w._entry
+                        assert all(row is parent[label] for row, label in zip(rows, labels))
+                        assert all(table[label]._entry[0] is rows for label in labels)
 
     def test_context_families_built_once_per_pair(self):
-        verify_module._context_families.cache_clear()
+        verify_module._isolation_table.cache_clear()
         read = []
         for _ in range(2):
             p = canonical_partition((1, 1, 2))
             ctx = canonical_partition((2, 2))
             for label in orbit_labels(p):
-                assert check_isolation(build_isolation(p, label, ctx)).passed
-                read.append(verify_module._target_family(p, label, ctx)[1])
-        assert verify_module._context_families.cache_info().misses == 1
-        # both passes read the same family cones
+                w = build_isolation(p, label, ctx)
+                assert check_isolation(w).passed
+                read.append(w)
+        assert verify_module._isolation_table.cache_info().misses == 1
+        # both passes read the same table witnesses
         half = len(read) // 2
         assert all(a is b for a, b in zip(read[:half], read[half:]))
 
@@ -776,8 +847,10 @@ class TestIsolations:
         for p, ctx in benchmark_isolation_pairs():
             for label in orbit_labels(p):
                 w = build_isolation(p, label, ctx)
-                _, family, labels, own = verify_module._target_family(p, label, ctx)
-                slack = family.row_values(to_sym(w.function, p).free_values())[own]
+                _, labels, own, _ = w._entry
+                cone = psi_p_hrep(p)
+                slack = dict(zip((lab for _, lab in cone.rows),
+                                 cone.row_values(w.vector)))[label]
                 for index, other in enumerate(labels):
                     if other == label:
                         continue
@@ -793,29 +866,29 @@ class TestIsolations:
 
 
 class TestWitnessGate:
-    def test_gate_runs_once_per_function_and_partition(self, monkeypatch):
-        # the outcome is kept on the witness function, so start from
-        # functions no earlier check has gated
-        verify_module._split_pair_witness.cache_clear()
-        verify_module._uniform_witness.cache_clear()
+    def test_gate_runs_once_per_function_and_partition(self, monkeypatch, fresh_tables):
+        # a table witness is gated once, when its table is built: once
+        # per distinct vector of the table, and no check gates it again
         scans = gate_spy(monkeypatch)
         witnesses = [build_isolation(p, label, ctx)
                      for p, ctx in benchmark_isolation_pairs()
                      for label in orbit_labels(p)]
-        per_pass = []
+        tables = {(w.partition, w.context): set() for w in witnesses}
+        for w in witnesses:
+            tables[w.partition, w.context].add(w.vector)
+        assert len(tables) == 19
+        assert scans == {"membership": sum(map(len, tables.values())), "symmetry": 0}
+        before = dict(scans)
         for _ in range(2):
-            before = dict(scans)
             assert all(check_isolation(w).passed for w in witnesses)
-            per_pass.append({k: scans[k] - before[k] for k in scans})
-        assert per_pass == [{"polymatroid": 181, "symmetry": 181},
-                            {"polymatroid": 0, "symmetry": 0}]
-        # keyed by the object, not by its values
+        assert scans == before
+        # a dense copy is reduced and gated on every check
         w = witnesses[0]
         copy = IsolationWitness(w.partition, w.target, w.context,
                                 SetFunction(w.function.ground, w.function.values))
         for _ in range(2):
             assert check_isolation(copy).passed
-        assert scans == {"polymatroid": 182, "symmetry": 182}
+        assert scans == {"membership": before["membership"] + 2, "symmetry": 2}
 
     def test_one_function_is_gated_under_each_partition(self, monkeypatch):
         scans = gate_spy(monkeypatch)
@@ -823,17 +896,17 @@ class TestWitnessGate:
         parts = [canonical_partition((2, 2)), canonical_partition((1, 1, 2))]
         for _ in range(2):
             for p in parts:
-                bad, vec = verify_module._witness_vector(h, p)
+                bad, vec = verify_module._dense_gate(h, p)
                 assert bad is None
                 assert vec == to_sym(uniform(2, 4), p).free_values()
-        assert scans == {"polymatroid": 2, "symmetry": 2}
+        assert scans == {"membership": 4, "symmetry": 4}
 
     @pytest.mark.parametrize("kind", ["polymatroid", "symmetry"])
     def test_failing_gate_builds_a_fresh_payload(self, kind):
         p = canonical_partition((2, 2))
         target = OrbitLabel((1, 0), (0, 0))
         if kind == "polymatroid":
-            h, want = squared_count(p), {"violated": "E(1,2|-)"}
+            h, want = squared_count(p), {"violated": "[1_2(1,2)|0,0]"}
         else:
             h = uniform_on_support(1, mask_of([1]), p.ground)
             want = {"symmetry": str(p)}
@@ -851,12 +924,11 @@ class TestWitnessGate:
         for p, ctx in benchmark_isolation_pairs():
             for label in orbit_labels(p):
                 w = build_isolation(p, label, ctx)
-                shared[id(w.function)] = w.function, p
-        assert len(shared) == 181
-        for h, p in shared.values():
-            bad, vec = verify_module._witness_vector(h, p)
-            assert bad is None and type(vec) is tuple
-            assert all(type(x) is int for x in vec)
+                assert type(w.vector) is tuple
+                assert all(type(x) is int for x in w.vector)
+                shared[id(w.function)] = w.function, p, w.vector
+        assert len(shared) == 159
+        for h, p, vec in shared.values():
             assert vec == to_sym(h, p).free_values()
 
     def test_fractional_witnesses_keep_fractions(self):
@@ -865,10 +937,10 @@ class TestWitnessGate:
             for label in orbit_labels(p):
                 w = build_isolation(p, label, ctx)
                 half = Fraction(1, 2) * w.function
-                bad, vec = verify_module._witness_vector(half, p)
+                bad, vec = verify_module._dense_gate(half, p)
                 assert bad is None
                 assert any(type(x) is Fraction and x.denominator == 2 for x in vec)
-                assert vec == tuple(x / 2 for x in to_sym(w.function, p).free_values())
+                assert vec == tuple(Fraction(x, 2) for x in w.vector)
                 v = check_isolation(IsolationWitness(p, label, ctx, half))
                 assert v.passed and v.counterexample is None
                 count += 1
@@ -879,6 +951,125 @@ class TestWitnessGate:
                              Fraction(1, 2) * uniform(4, 4))
         assert check_isolation(w).counterexample == {"label": "[1_2(2)|0]",
                                                      "value": "1/2"}
+
+    def test_cold_pass_builds_tables_not_functions(self, monkeypatch, fresh_tables):
+        # one table per (p, context), the reduction checked once per
+        # partition, and no dense function until `.function` is read
+        reductions, inflated = [], []
+
+        def reduction(p):
+            reductions.append(p)
+            return cone_module.facet_reduction_check(p)
+
+        def inflate(s):
+            inflated.append(s)
+            return from_sym(s)
+
+        monkeypatch.setattr(verify_module, "facet_reduction_check", reduction)
+        monkeypatch.setattr(verify_module, "from_sym", inflate)
+        pairs = benchmark_isolation_pairs()
+        witnesses = [build_isolation(p, label, ctx)
+                     for p, ctx in pairs for label in orbit_labels(p)]
+        assert all(check_isolation(w).passed for w in witnesses)
+        assert len(witnesses) == 541
+        assert verify_module._isolation_table.cache_info().misses == len(set(pairs)) == 19
+        assert len(reductions) == len(set(reductions)) == len({p for p, _ in pairs})
+        assert inflated == []
+        functions = {id(w.function) for w in witnesses}
+        assert len(inflated) == len(functions) == 159
+
+    def test_reduced_gate_agrees_with_dense_gate_on_the_suite(self):
+        # every isolation and gap witness of run_suite(5), by its table
+        # gate or its dense reduction, against the dense oracle
+        count = 0
+        for n in range(2, 6):
+            reps = canonical_representatives(n)
+            pairs = [(p, canonical_partition((n,))) for p in reps if p.t == 2]
+            pairs += [(p, ctx) for p in reps for ctx in reps
+                      if ctx.t > 1 and covers(ctx, p)]
+            for p, ctx in pairs:
+                for label in orbit_labels(p):
+                    w = build_isolation(p, label, ctx)
+                    assert w._entry[3] is None
+                    assert dense_witness_gate(w.function, p) is None
+                    count += 1
+        for parts in GAP_PARTS:
+            p = canonical_partition(parts)
+            h = gap_witness_blocks(two_block_coarsening(p))
+            assert verify_module._dense_gate(h, p)[0] is None
+            assert dense_witness_gate(h, p) is None
+            count += 1
+        assert count == sum(v.claim in ("isolation", "gap") for v in run_suite(5)) == 418
+
+    def test_reduced_gate_agrees_with_dense_gate_on_perturbed_vectors(self, rng):
+        # uniform-factor vectors with one or two coordinates moved by up
+        # to 2, on every canonical partition with n <= 6
+        outcomes = {True: 0, False: 0}
+        for n in range(1, 7):
+            for p in canonical_representatives(n):
+                for _ in range(8):
+                    weights = [rng.randint(0, 2) for _ in range(p.t)]
+                    rank = rng.randint(0, n)
+                    vec = list(uniform_factor_values(p, rank, weights)[1:])
+                    for _ in range(rng.randint(1, 2)):
+                        vec[rng.randrange(len(vec))] += rng.randint(-2, 2)
+                    vec = tuple(vec)
+                    h = from_sym(SymVector(p, (0, *vec)))
+                    passed = verify_module._gate(p, vec) is None
+                    assert passed == (verify_module._dense_gate(h, p)[0] is None)
+                    assert passed == (dense_witness_gate(h, p) is None), (str(p), vec)
+                    outcomes[passed] += 1
+        assert min(outcomes.values()) > 20
+
+    def test_reduced_gate_agrees_with_dense_gate_on_named_failures(self):
+        p = canonical_partition((2, 2))
+        for h, kind in ((squared_count(p), "polymatroid"),
+                        (uniform_on_support(1, mask_of([1]), p.ground), "symmetry")):
+            assert dense_witness_gate(h, p) == kind
+            assert verify_module._dense_gate(h, p)[0] is not None
+
+    def test_corrupted_cone_row_fails_the_verdicts_that_read_it(self, monkeypatch,
+                                                                fresh_tables):
+        # one row of Psi_(2,2) negated: the isolation witness of that
+        # row's label and the gap witness are strict on it, so the gate
+        # names it; a dense witness reads the same corrupted row
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        real = psi_p_hrep(p)
+        gap_vec = to_sym(gap_witness_blocks(p), p).free_values()
+        for (coeffs, label), value in zip(real.rows, real.row_values(gap_vec)):
+            if value > 0:
+                break
+        rows = tuple((tuple(-c for c in co), lab) if lab == label else (co, lab)
+                     for co, lab in real.rows)
+        monkeypatch.setattr(verify_module, "psi_p_hrep",
+                            lambda q: HCone(real.dim, rows, real.coords))
+        want = {"violated": str(label)}
+        v = verify_gap(p)
+        assert not v.passed and v.counterexample == want
+        w = build_isolation(p, label, ctx)
+        first, second = check_isolation(w), check_isolation(w)
+        assert not first.passed and first.counterexample == want
+        assert second.counterexample == want
+        assert first.counterexample is not second.counterexample
+        dense = check_isolation(IsolationWitness(p, label, ctx, w.function))
+        assert not dense.passed and dense.counterexample == want
+
+    def test_failed_reduction_fails_every_gate(self, monkeypatch, fresh_tables):
+        # the Psi_p gate rests on the facet reduction; where the check
+        # of that reduction fails, every gate on the partition says so
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        monkeypatch.setattr(verify_module, "facet_reduction_check", lambda q: False)
+        want = {"reduction": str(p)}
+        v = verify_gap(p)
+        assert not v.passed and v.counterexample == want
+        for label in orbit_labels(p):
+            w = build_isolation(p, label, ctx)
+            v = check_isolation(w)
+            assert not v.passed and v.counterexample == want
+            v = check_isolation(IsolationWitness(p, label, ctx, w.function))
+            assert not v.passed and v.counterexample == want
 
 
 class TestFamilyVectors:
