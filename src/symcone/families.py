@@ -176,7 +176,14 @@ def family_Un(n: int) -> list:
 
 
 def gap_witness_blocks(p: Partition) -> SetFunction:
-    """Symmetric polymatroid outside the closed entropic region.
+    """Symmetric polymatroid outside the closed entropic region: the
+    function of `gap_witness_values(p)`, with its errors."""
+    return from_sym(SymVector(p, gap_witness_values(p)))
+
+
+def gap_witness_values(p: Partition) -> tuple:
+    """The reduced values of `gap_witness_blocks(p)`, one int per count
+    tuple of p in `p.count_tuples` order.
 
     Needs a two-block partition with both blocks of size >= 2; pairs
     inside the first block get value 4, all other pairs 3, singletons
@@ -195,7 +202,7 @@ def gap_witness_blocks(p: Partition) -> SetFunction:
             return 4 if k[0] == 2 else 3
         return 4
 
-    return from_sym(SymVector(p, tuple(map(value, p.count_tuples))))
+    return tuple(map(value, p.count_tuples))
 
 
 def gap_witness(n1: int, n2: int) -> SetFunction:

@@ -10,18 +10,19 @@ import time
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd
+from operator import mul
 from typing import Optional
 
 from .cone import (
     DecomposeResult,
-    _eliminate,
     conic_decompose,
     extreme_rays,
     facet_reduction_check,
     normalize_ray,
     psi_p_hrep,
 )
-from .families import family_Un, gap_witness_blocks, uniform, uniform_factor_values
+from .families import family_Un, gap_witness_values, uniform_factor_values
 from .partitions import (
     Partition,
     block_map,
@@ -34,7 +35,6 @@ from .setfn import (
     GroundSet,
     SetFunction,
     elements_of,
-    form_value,
     zhang_yeung_form,
 )
 from .symmetry import (
@@ -44,6 +44,7 @@ from .symmetry import (
     from_sym,
     orbit_count_formula,
     orbit_labels,
+    reduce_form,
     to_sym,
 )
 
@@ -118,9 +119,34 @@ def _uncertified_ray(cone, rays):
         zero = [i for i, v in enumerate(values) if v == 0]
         if (any(v < 0 for v in values)
                 or sum(1 << i for i in zero) != r.tight
-                or len(_eliminate([rows[i] for i in zero])[0]) != cone.dim - 1):
+                or _rank([rows[i] for i in zero]) != cone.dim - 1):
             return r
     return None
+
+
+def _rank(rows) -> int:
+    """The rank of the int `rows`.
+
+    Exact forward elimination over ints: each row is reduced against
+    the rows kept so far as `b[c]*v - v[c]*b`, c the pivot column of
+    the kept row b, and is kept, divided by its content, when it is
+    nonzero; its first nonzero entry is its pivot.  No back-substitution
+    and no tag columns: only the count of kept rows is read."""
+    kept = []
+    for v in rows:
+        for c, b in kept:
+            f = v[c]
+            if f:
+                g = b[c]
+                v = [g * x - f * y for x, y in zip(v, b)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        content = gcd(*v)
+        if content != 1:
+            v = [x // content for x in v]
+        kept.append((col, v))
+    return len(kept)
 
 
 def _ray_set_comparison(cone, vectors):
@@ -153,7 +179,7 @@ def verify_psi_n(n: int) -> Verdict:
 
     def run():
         bad, tights = _ray_set_comparison(
-            cone, [to_sym(uniform(m, n), p).free_values() for m in range(1, n + 1)])
+            cone, [uniform_factor_values(p, m, (1,))[1:] for m in range(1, n + 1)])
         if bad is not None:
             return False, bad
         labels = [label for _, label in cone.rows]
@@ -265,6 +291,10 @@ def verify_gap(p: Partition) -> Verdict:
     For the one-block partition or a two-block partition with a
     singleton block no such witness exists (those cones are exactly
     the closed symmetric entropic regions).
+
+    The witness never goes dense: `_gap_reduction` reads its
+    count-tuple values (`gap_witness_values`) on p and takes the form
+    there, and the reduced vector goes through the Psi_p gate (`_gate`).
     """
     coarse = two_block_coarsening(p)
     if coarse is None and p.t >= 3:
@@ -277,17 +307,32 @@ def verify_gap(p: Partition) -> Verdict:
         )
 
     def run():
-        witness = gap_witness_blocks(coarse)
-        bad, _ = _dense_gate(witness, p)
+        vec, value = _gap_reduction(p, coarse, gap_witness_values(coarse))
+        bad = _gate(p, vec)
         if bad is not None:
             return False, bad
-        first, second = (elements_of(b)[:2] for b in coarse.blocks)
-        value = form_value(zhang_yeung_form(p.ground, first + second), witness)
         if value != -1:
             return False, {"zy_value": str(value)}
         return True, None
 
     return _timed("gap", {"partition": str(p), "coarsening": str(coarse)}, run)
+
+
+def _gap_reduction(p: Partition, coarse: Partition, values) -> tuple:
+    """`(vec, value)` for the function with count-tuple values `values`
+    on `coarse`, a two-block coarsening of p: its reduced vector on p,
+    origin dropped, and its Zhang-Yeung value with two roles from each
+    block of `coarse`.
+
+    A count tuple k of p sits at sum_i k[i] * s_c(i) of `coarse`, c(i)
+    the coarse block holding block i (`block_map`) and s its strides.
+    The form is `reduce_form` of `zhang_yeung_form` by `p.count_index`,
+    dotted with the vector, so an int witness gives an int value."""
+    strides = [coarse.strides[c] for c in block_map(p, coarse)]
+    vec = tuple([values[sum(map(mul, strides, k))] for k in p.count_tuples[1:]])
+    first, second = (elements_of(b)[:2] for b in coarse.blocks)
+    form = zhang_yeung_form(p.ground, first + second)
+    return vec, sum(map(mul, reduce_form(form.items(), p.count_index), vec))
 
 
 # ---------------------------------------------------------------------------

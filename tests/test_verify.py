@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,9 +22,11 @@ from symcone import (
     collapse_label,
     covers,
     decompose_1n,
+    elements_of,
     extreme_rays,
     family_Un,
     family_Un_tags,
+    form_value,
     from_sym,
     gap_witness,
     mask_of,
@@ -41,10 +44,11 @@ from symcone import (
     verify_gap,
     verify_psi_1n1,
     verify_psi_n,
+    zhang_yeung_form,
 )
 import symcone.cone as cone_module
 import symcone.verify as verify_module
-from symcone.families import gap_witness_blocks, uniform_factor_values
+from symcone.families import gap_witness_blocks, gap_witness_values, uniform_factor_values
 from symcone.partitions import block_map
 from symcone.verify import GAP_PARTS, IsolationWitness, run_suite
 
@@ -120,8 +124,9 @@ class TestRayInventories:
     def test_rank_paired_with_wrong_ray_fails(self, monkeypatch):
         # U_{n+1-m,n} in place of U_{m,n}: the same ray set, but rank 1
         # is paired with the free matroid, which skips the A row
-        real = verify_module.uniform
-        monkeypatch.setattr(verify_module, "uniform", lambda m, n: real(n + 1 - m, n))
+        real = verify_module.uniform_factor_values
+        monkeypatch.setattr(verify_module, "uniform_factor_values",
+                            lambda p, m, w: real(p, p.n + 1 - m, w))
         labels = [str(label) for _, label in psi_p_hrep(canonical_partition((4,))).rows]
         v = verify_psi_n(4)
         assert not v.passed
@@ -181,6 +186,52 @@ class TestRayInventories:
         assert not v.passed
         assert v.counterexample == {"extra": [normalize_ray(b).direction],
                                     "missing": [normalize_ray(summed).direction]}
+
+
+def shapes_up_to_dim(cap):
+    """Every block-size tuple, sizes ascending, with n <= 12 and
+    reduced dimension prod(n_i + 1) - 1 <= cap."""
+    def grow(parts, room, smallest):
+        yield parts
+        for size in range(smallest, room + 1):
+            yield from grow(parts + (size,), room - size, size)
+    return [parts for parts in grow((), 12, 1)
+            if parts and prod(s + 1 for s in parts) - 1 <= cap]
+
+
+class TestRank:
+    def test_matches_elimination_on_random_matrices(self, rng):
+        # rank-deficient, duplicate, zero, wide and tall int matrices
+        cases = 0
+        for _ in range(150):
+            rows_n, cols = rng.randint(1, 9), rng.randint(1, 9)
+            rank = rng.randint(0, min(rows_n, cols))
+            basis = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+            rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols)]
+                    for _ in range(rows_n)]
+            if rng.random() < 0.3:
+                rows.append(list(rows[rng.randrange(len(rows))]))
+            if rng.random() < 0.2:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * cols)
+            want = len(cone_module._eliminate(rows)[0])
+            assert verify_module._rank(rows) == want, rows
+            cases += 1
+        assert verify_module._rank([]) == 0 and cases == 150
+
+    def test_matches_elimination_on_every_ray_certificate(self):
+        # the tight rows of every ray of each canonical shape with
+        # dim <= 17: rank dim - 1 by both routes
+        shapes = shapes_up_to_dim(17)
+        rays_checked = 0
+        for parts in shapes:
+            cone = psi_p_hrep(canonical_partition(parts))
+            rows = [coeffs for coeffs, _ in cone.rows]
+            for r in extreme_rays(cone):
+                tight = [rows[i] for i in range(len(rows)) if r.tight >> i & 1]
+                assert verify_module._rank(tight) == len(cone_module._eliminate(tight)[0])
+                assert verify_module._rank(tight) == cone.dim - 1, (parts, r)
+                rays_checked += 1
+        assert (len(shapes), rays_checked) == (30, 1514)
 
 
 class TestFacetBijection:
@@ -268,20 +319,11 @@ class TestGap:
         with pytest.raises(ValueError):
             verify_gap(canonical_partition((1, 1, 1)))  # n=3 cannot split 2+2
 
-    def test_non_symmetric_witness_fails(self, monkeypatch):
-        # every witness gap_witness_blocks builds is symmetric, so a
-        # polymatroid that tells element 1 from element 2 stands in
-        monkeypatch.setattr(
-            verify_module, "gap_witness_blocks",
-            lambda coarse: uniform_on_support(1, mask_of([1]), coarse.ground))
-        p = canonical_partition((2, 2))
-        v = verify_gap(p)
-        assert not v.passed
-        assert v.counterexample == {"symmetry": str(p)}
-
     def test_non_polymatroid_witness_fails(self, monkeypatch):
-        # the Psi_p membership half of the witness gate, after symmetry
-        monkeypatch.setattr(verify_module, "gap_witness_blocks", squared_count)
+        # the witness's count-tuple values are those of `squared_count`:
+        # the Psi_p membership gate names the row it breaks
+        monkeypatch.setattr(verify_module, "gap_witness_values",
+                            lambda q: tuple(sum(k) ** 2 for k in q.count_tuples))
         v = verify_gap(canonical_partition((2, 2)))
         assert not v.passed
         assert v.counterexample == {"violated": "[1_2(1,2)|0,0]"}
@@ -289,7 +331,8 @@ class TestGap:
     def test_witness_off_the_form_bound_fails(self, monkeypatch):
         # U_{2,4} passes the gate and lies in the cone, but the form is
         # 5 on it, not -1
-        monkeypatch.setattr(verify_module, "gap_witness_blocks", lambda q: uniform(2, q.n))
+        monkeypatch.setattr(verify_module, "gap_witness_values",
+                            lambda q: uniform_factor_values(q, 2, (1, 1)))
         v = verify_gap(canonical_partition((2, 2)))
         assert not v.passed
         assert v.counterexample == {"zy_value": "5"}
@@ -307,9 +350,11 @@ class TestGap:
         assert v.counterexample == {"violated": "h(0,1) <= 0"}
 
     def test_form_value_below_minus_one_fails(self, monkeypatch):
-        # the witness is pinned to the form value -1, so a value further
-        # below 0 fails too
-        monkeypatch.setattr(verify_module, "form_value", lambda form, h: Fraction(-2))
+        # the witness is pinned to the form value -1, so the doubled
+        # witness, still in the cone, fails with -2
+        real = verify_module.gap_witness_values
+        monkeypatch.setattr(verify_module, "gap_witness_values",
+                            lambda q: tuple(2 * x for x in real(q)))
         v = verify_gap(canonical_partition((2, 2)))
         assert not v.passed
         assert v.counterexample == {"zy_value": "-2"}
@@ -359,6 +404,32 @@ class TestGap:
                 assert v.passed, (str(p), v.counterexample)
                 with_split += 1
         assert (with_split, without_split) == (252, 26)
+
+    def test_reduced_route_matches_the_dense_route(self, rng):
+        # every set partition with a split and n <= 6: the gap witness
+        # read on p's count tuples is `to_sym` of the dense witness, and
+        # the reduced form value is `form_value` on it; so are both on
+        # seeded count-tuple values that are no witness
+        count = 0
+        for n in range(4, 7):
+            for p in all_set_partitions(n):
+                coarse = two_block_coarsening(p)
+                if coarse is None:
+                    continue
+                first, second = (elements_of(b)[:2] for b in coarse.blocks)
+                form = zhang_yeung_form(p.ground, first + second)
+                witness = gap_witness_values(coarse)
+                noise = tuple([0] + [rng.randint(-5, 5) for _ in coarse.count_tuples[1:]])
+                for values in (witness, noise):
+                    dense = from_sym(SymVector(coarse, values))
+                    vec, value = verify_module._gap_reduction(p, coarse, values)
+                    assert vec == to_sym(dense, p).free_values(), str(p)
+                    assert value == form_value(form, dense), str(p)
+                    assert type(value) is int
+                assert verify_module._gap_reduction(p, coarse, witness)[1] == -1
+                assert from_sym(SymVector(coarse, witness)) == gap_witness_blocks(coarse)
+                count += 1
+        assert count == 252
 
 
 def benchmark_isolation_pairs():
