@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import gcd
 from operator import mul
@@ -32,14 +31,12 @@ from .partitions import (
 )
 from .setfn import (
     DENSE_GROUND_CAP,
-    GroundSet,
     SetFunction,
     elements_of,
     zhang_yeung_form,
 )
 from .symmetry import (
     OrbitLabel,
-    SymmetryError,
     SymVector,
     from_sym,
     orbit_count_formula,
@@ -70,30 +67,33 @@ class IsolationWitness:
     the one-block partition there is no coarser context: `verify_psi_n`
     checks that case.
 
-    A witness is held one of two ways.  `build_isolation` returns an
-    entry of the (p, context) witness table: `vector` is its reduced
-    int vector, origin dropped, and `_entry` its family rows, their
-    labels, the target's index among them and its gate outcome, all
-    fixed when the table was built; its `function` is built by
-    `from_sym` on first read, once per (p, vector).
-    `IsolationWitness(p, target, context, h)` wraps a dense function h
-    instead: its `vector` is None, and `check_isolation` reduces and
-    gates h on every call.  Equality is identity.
+    `vector` is the witness's reduced vector on p, origin dropped (ints
+    or Fractions), and `_entry = (rows, labels, index, gate)` its family
+    rows, their labels, the target's index among them and the gate
+    outcome of `vector`.  `build_isolation` returns an entry of the
+    (p, context) witness table, which passes its own `_entry`.  A
+    witness built by a caller takes the rows, labels and index of its
+    target's table entry and gates its vector once, here, so a context
+    that does not merge two blocks of p or a target that is no facet
+    orbit of p raises ValueError at construction.  To check a dense
+    function h, pass `to_sym(h, p).free_values()`, which raises
+    SymmetryError when h is not p-symmetric.  A witness's `function` is
+    built by `from_sym` on first read, once per (p, vector).  Equality
+    is identity.
     """
 
     partition: Partition
     target: OrbitLabel
     context: Partition
-    dense: InitVar[Optional[SetFunction]] = None
-    vector: Optional[tuple] = None
+    vector: tuple
     _entry: Optional[tuple] = field(default=None, repr=False)
 
-    def __post_init__(self, dense) -> None:
-        if (dense is None) == (self._entry is None):
-            raise ValueError("a witness takes exactly one of a dense function "
-                             "and a table entry")
-        if dense is not None:
-            self.__dict__["function"] = dense  # read before `function` builds one
+    def __post_init__(self) -> None:
+        if self._entry is None:
+            rows, labels, index, _ = build_isolation(
+                self.partition, self.target, self.context)._entry
+            object.__setattr__(self, "_entry",
+                               (rows, labels, index, _gate(self.partition, self.vector)))
 
     @cached_property
     def function(self) -> SetFunction:
@@ -271,17 +271,6 @@ def _gate(p: Partition, vec) -> Optional[dict]:
                              in zip(cone.rows, cone.row_values(vec)) if value < 0)}
 
 
-def _dense_gate(h: SetFunction, p: Partition) -> tuple:
-    """`(counterexample, vec)` for a witness given as a dense function:
-    `{"symmetry": str(p)}` unless h is p-symmetric, else `_gate` of its
-    reduced vector, and that vector (Fractions, origin dropped)."""
-    try:
-        vec = to_sym(h, p).free_values()
-    except SymmetryError:
-        return {"symmetry": str(p)}, None
-    return _gate(p, vec), vec
-
-
 def verify_gap(p: Partition) -> Verdict:
     """A symmetric polymatroid in the reduced cone violating the
     four-variable non-Shannon inequality, with two roles taken from
@@ -348,7 +337,11 @@ def _merge_map(p: Partition, context: Partition) -> tuple:
 
 def collapse_label(label: OrbitLabel, p: Partition, context: Partition) -> OrbitLabel:
     """Label of the context orbit containing the labelled p-orbit; the
-    context must merge exactly two blocks of p, else ValueError."""
+    label must have p's block count and the context must merge exactly
+    two blocks of p, else ValueError."""
+    if label.t != p.t:
+        raise ValueError(f"label {label} has {label.t} blocks, "
+                         f"partition {p} has {p.t}")
     return OrbitLabel(*_collapse(label, _merge_map(p, context), context.t))
 
 
@@ -472,33 +465,19 @@ def check_isolation(w: IsolationWitness) -> Verdict:
     target orbit's row, equality on every other row of the context
     family: the rows whose labels collapse through `w.context` onto the
     collapse of `w.target`.  Only the family's rows are evaluated, and
-    the target's row is told apart by its index in the family.  A
-    table witness carries its vector, family rows and gate outcome, so
-    the check reads them and looks nothing up.  A dense witness is
-    reduced and gated on every call (`_dense_gate`), after its table
-    is found, and reads the family rows of its target's table entry; a
-    target outside that table (not a facet orbit of p) fails with the
-    labels of the family its collapse names as counterexample.  Each
-    call returns a new `Verdict` and counterexample dict.
+    the target's row is told apart by its index in the family.  Every
+    witness carries its vector, family rows and gate outcome, fixed
+    when it was built, so the check reads them and looks nothing up: a
+    failed gate comes back as a copy of its stored counterexample.
+    Each call returns a new `Verdict` and counterexample dict.
     """
     p = w.partition
 
     def run():
-        if w._entry is None:
-            table = _isolation_table(p, w.context)
-            bad, vec = _dense_gate(w.function, p)
-            if bad is not None:
-                return False, bad
-            own = table.get(w.target)
-            if own is None:
-                return False, {"family": _family_labels(p, w.target, w.context)}
-            rows, labels, target, _ = own._entry
-        else:
-            rows, labels, target, bad = w._entry
-            if bad is not None:
-                return False, dict(bad)
-            vec = w.vector
-        x = [*vec, 0]  # index dim: the zero slot of a kernel row's missing term
+        rows, labels, target, bad = w._entry
+        if bad is not None:
+            return False, dict(bad)
+        x = [*w.vector, 0]  # index dim: the zero slot of a kernel row's missing term
         for index, (i, j, k, l) in enumerate(rows):
             val = x[i] + x[j] - x[k] - x[l]
             if (val <= 0) if index == target else (val != 0):
@@ -514,15 +493,6 @@ def check_isolation(w: IsolationWitness) -> Verdict:
         },
         run,
     )
-
-
-def _family_labels(p: Partition, target: OrbitLabel, context: Partition) -> list:
-    """The labels, as text in row order, of the context family that the
-    collapse of `target` names; empty when it names none."""
-    posmap = _merge_map(p, context)
-    key = _collapse(target, posmap, context.t)
-    return [str(label) for _, label in psi_p_hrep(p).rows
-            if _collapse(label, posmap, context.t) == key]
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +577,12 @@ def run_suite(n_max: int = 5, seed: int = 0) -> list:
                     verdicts.append(check_isolation(build_isolation(p, label, context)))
     for n in (3, 4):
         rng = random.Random(seed)
-        gens = family_Un(n)
+        p = canonical_partition((1, n - 1))
+        vectors = _family_vectors(n)
         for _ in range(5):
-            weights = [Fraction(rng.randint(0, 4)) for _ in gens]
-            point = SetFunction(GroundSet(n), (0,) * (1 << n))
-            for w, g in zip(weights, gens):
-                point = point + w * g
+            weights = [rng.randint(0, 4) for _ in vectors]
+            vec = [sum(map(mul, weights, col)) for col in zip(*vectors)]
+            point = from_sym(SymVector(p, (0, *vec)))
 
             def run(point=point, n=n):
                 res = decompose_1n(point, n)

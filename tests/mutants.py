@@ -83,6 +83,17 @@ MUTANTS = (
            "    if not _reduction_holds(p):",
            "    if False:",
            ("tests/test_verify.py::TestWitnessGate::test_failed_reduction_fails_every_gate",)),
+    Mutant("witness-gate-dropped", VERIFY,
+           "_gate(self.partition, self.vector)))",
+           "None))",
+           ("tests/test_verify.py::TestIsolations::test_non_polymatroid_witness_fails",
+            "tests/test_verify.py::TestWitnessGate::test_failing_gate_builds_a_fresh_payload")),
+    Mutant("isolation-stored-gate-ignored", VERIFY,
+           "        if bad is not None:\n            return False, dict(bad)\n",
+           "",
+           ("tests/test_verify.py::TestWitnessGate::"
+            "test_corrupted_cone_row_fails_the_verdicts_that_read_it",
+            "tests/test_verify.py::TestWitnessGate::test_failed_reduction_fails_every_gate")),
     Mutant("gap-value-loosened", VERIFY,
            "        if value != -1:",
            "        if value >= 0:",
@@ -91,6 +102,11 @@ MUTANTS = (
            "            if (val <= 0) if index == target else (val != 0):",
            "            if (val < 0) if index == target else (val != 0):",
            ("tests/test_verify.py::TestIsolations::test_corrupted_witness_fails",)),
+    # the block count of a label collapsed through a context
+    Mutant("collapse-label-length-unchecked", VERIFY,
+           "    if label.t != p.t:\n",
+           "    if False:\n",
+           ("tests/test_verify.py::TestCollapse::test_label_of_another_block_count_rejected",)),
     Mutant("decompose-verdict-always-passes", VERIFY,
            "                if res.feasible:\n",
            "                if True:\n",

@@ -15,6 +15,7 @@ from symcone import (
     Ray,
     SetFunction,
     SymVector,
+    SymmetryError,
     build_isolation,
     canonical_partition,
     canonical_representatives,
@@ -445,7 +446,7 @@ def benchmark_isolation_pairs():
 
 def gate_spy(monkeypatch):
     """Count the gate's steps by name: the Psi_p membership gate
-    (`verify._gate`) and the symmetry scan of a dense witness
+    (`verify._gate`) and verify's symmetry scan of a dense function
     (`verify.to_sym`)."""
     scans = {"membership": 0, "symmetry": 0}
 
@@ -466,6 +467,15 @@ def gate_spy(monkeypatch):
 #: their vectors and functions, and the per-partition reduction check.
 WITNESS_CACHES = ("_isolation_table", "_split_pair_vector", "_uniform_vector",
                   "_witness_function", "_reduction_holds")
+
+
+def clear_package_caches():
+    """Empty every cache the package's builders keep, wherever it is bound."""
+    for name, mod in sorted(sys.modules.items()):
+        if name.startswith("symcone."):
+            for val in vars(mod).values():
+                if callable(getattr(val, "cache_info", None)):
+                    val.cache_clear()
 
 
 @pytest.fixture
@@ -741,52 +751,40 @@ class TestIsolations:
         # the package's builders keep what they build; a run that finds
         # them filled must give the verdicts of one that finds every
         # cache, wherever it is bound, empty
-        for name, mod in sorted(sys.modules.items()):
-            if name.startswith("symcone."):
-                for val in vars(mod).values():
-                    if callable(getattr(val, "cache_info", None)):
-                        val.cache_clear()
+        clear_package_caches()
         cold, warm = ([(v.claim, v.params, v.passed) for v in run_suite(4)]
                       for _ in range(2))
         assert cold == warm
         assert all(passed for _, _, passed in cold)
 
-    def test_witness_takes_a_function_or_a_table_entry(self):
-        p = canonical_partition((2, 2))
-        ctx = canonical_partition((4,))
-        w = build_isolation(p, orbit_labels(p)[0], ctx)
-        for args, kwargs in (((), {}),
-                             ((w.function,), {"vector": w.vector, "_entry": w._entry})):
-            with pytest.raises(ValueError, match="exactly one of"):
-                IsolationWitness(p, w.target, ctx, *args, **kwargs)
-        dense = IsolationWitness(p, w.target, ctx, w.function)
-        assert dense.vector is None and dense.function is w.function
+    def test_caller_witness_carries_the_table_entry(self):
+        # a witness built from a table witness's vector takes its
+        # target's family rows, labels and index from the table, and
+        # gates its vector to the table's outcome
+        for p, ctx in benchmark_isolation_pairs():
+            for label in orbit_labels(p):
+                w = build_isolation(p, label, ctx)
+                copy = IsolationWitness(p, label, ctx, w.vector)
+                assert copy is not w and copy.vector is w.vector
+                assert all(a is b for a, b in zip(copy._entry[:2], w._entry[:2]))
+                assert copy._entry == w._entry
+                assert check_isolation(copy).passed
 
     def test_corrupted_witness_fails(self):
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
         target = OrbitLabel((1, 0), (0, 0))
         # uniform rank is tight on every monotonicity row: target not strict
-        bad = IsolationWitness(p, target, ctx, uniform(2, 4))
+        bad = IsolationWitness(p, target, ctx, to_sym(uniform(2, 4), p).free_values())
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample["label"] == str(target)
 
-    def test_non_symmetric_witness_fails(self):
-        p = canonical_partition((2, 2))
-        ctx = canonical_partition((4,))
-        target = OrbitLabel((1, 0), (0, 0))
-        # a polymatroid that tells element 1 from element 2
-        bad = IsolationWitness(p, target, ctx,
-                               uniform_on_support(1, mask_of([1]), p.ground))
-        v = check_isolation(bad)
-        assert not v.passed
-        assert v.counterexample == {"symmetry": str(p)}
-
     def test_non_polymatroid_witness_fails(self):
         p = canonical_partition((2, 2))
         target = OrbitLabel((1, 0), (0, 0))
-        bad = IsolationWitness(p, target, canonical_partition((4,)), squared_count(p))
+        bad = IsolationWitness(p, target, canonical_partition((4,)),
+                               to_sym(squared_count(p), p).free_values())
         v = check_isolation(bad)
         assert not v.passed
         assert v.counterexample == {"violated": "[1_2(1,2)|0,0]"}
@@ -796,24 +794,29 @@ class TestIsolations:
         ctx = canonical_partition((4,))
         target = OrbitLabel((1, 0), (0, 0))
         # the counting rank is strict on both monotonicity rows
-        w = IsolationWitness(p, target, ctx, uniform(4, 4))
+        w = IsolationWitness(p, target, ctx, to_sym(uniform(4, 4), p).free_values())
         v = check_isolation(w)
         assert not v.passed
         assert v.counterexample == {"label": "[1_2(2)|0]", "value": "1"}
 
     @pytest.mark.parametrize("target, family", [
-        # not an orbit of (2,2); its collapse names a real context orbit
+        # not an orbit of (2,2); its collapse names a real context family
         (OrbitLabel((2, 0), (1, 0)),
          ["[1_2(1,2)|0,1]", "[1_2(1,2)|1,0]", "[2_2(1)|0,1]", "[2_2(2)|1,0]"]),
-        # a label of another shape: fails the same way, no IndexError
+        # a label of another shape, whose one block reads as the
+        # monotonicity family: rejected the same way, no IndexError
         (OrbitLabel((1,), (0,)), ["[1_2(1)|0]", "[1_2(2)|0]"]),
     ])
     def test_foreign_target_fails(self, target, family):
+        # the family exists in the table, yet a witness for a target
+        # that is no facet orbit of p is refused when it is built
         p = canonical_partition((2, 2))
-        w = IsolationWitness(p, target, canonical_partition((4,)), uniform(2, 4))
-        v = check_isolation(w)
-        assert not v.passed
-        assert v.counterexample == {"family": family}
+        ctx = canonical_partition((4,))
+        by_text = {str(label): label for label in orbit_labels(p)}
+        member = build_isolation(p, by_text[family[0]], ctx)
+        assert [str(label) for label in member._entry[1]] == family
+        with pytest.raises(ValueError, match="does not name a facet orbit"):
+            IsolationWitness(p, target, ctx, member.vector)
 
     def test_unknown_label_rejected(self):
         p = canonical_partition((2, 2))
@@ -837,21 +840,18 @@ class TestIsolations:
     def test_check_rejects_context_that_does_not_cover(self):
         p = canonical_partition((1, 1, 2))
         good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
-        bad = IsolationWitness(p, good.target, canonical_partition((4,)), good.function)
         with pytest.raises(ValueError, match="merge exactly two blocks"):
-            check_isolation(bad)
+            IsolationWitness(p, good.target, canonical_partition((4,)), good.vector)
 
     def test_rejected_context_raises_on_every_call(self, monkeypatch):
-        # before any scan of the dense function
+        # when the witness is built, before its vector is gated
         p = canonical_partition((1, 1, 2))
         good = build_isolation(p, orbit_labels(p)[0], canonical_partition((2, 2)))
         assert check_isolation(good).passed
         scans = gate_spy(monkeypatch)
         for _ in range(3):
-            bad = IsolationWitness(p, good.target, canonical_partition((4,)),
-                                   good.function)
             with pytest.raises(ValueError, match="merge exactly two blocks"):
-                check_isolation(bad)
+                IsolationWitness(p, good.target, canonical_partition((4,)), good.vector)
         assert scans == {"membership": 0, "symmetry": 0}
 
     def test_context_families_group_rows_by_collapse(self):
@@ -925,7 +925,7 @@ class TestIsolations:
                 for index, other in enumerate(labels):
                     if other == label:
                         continue
-                    v = check_isolation(IsolationWitness(p, other, ctx, w.function))
+                    v = check_isolation(IsolationWitness(p, other, ctx, w.vector))
                     assert not v.passed
                     if index < own:
                         want = {"label": str(other), "value": "0"}
@@ -953,35 +953,20 @@ class TestWitnessGate:
         for _ in range(2):
             assert all(check_isolation(w).passed for w in witnesses)
         assert scans == before
-        # a dense copy is reduced and gated on every check
+        # a witness that a caller builds is gated once, when it is built
         w = witnesses[0]
         copy = IsolationWitness(w.partition, w.target, w.context,
-                                SetFunction(w.function.ground, w.function.values))
+                                to_sym(w.function, w.partition).free_values())
         for _ in range(2):
             assert check_isolation(copy).passed
-        assert scans == {"membership": before["membership"] + 2, "symmetry": 2}
+        assert scans == {"membership": before["membership"] + 1, "symmetry": 0}
 
-    def test_one_function_is_gated_under_each_partition(self, monkeypatch):
-        scans = gate_spy(monkeypatch)
-        h = SetFunction(GroundSet(4), uniform(2, 4).values)
-        parts = [canonical_partition((2, 2)), canonical_partition((1, 1, 2))]
-        for _ in range(2):
-            for p in parts:
-                bad, vec = verify_module._dense_gate(h, p)
-                assert bad is None
-                assert vec == to_sym(uniform(2, 4), p).free_values()
-        assert scans == {"membership": 4, "symmetry": 4}
-
-    @pytest.mark.parametrize("kind", ["polymatroid", "symmetry"])
+    @pytest.mark.parametrize("kind", ["polymatroid"])
     def test_failing_gate_builds_a_fresh_payload(self, kind):
         p = canonical_partition((2, 2))
         target = OrbitLabel((1, 0), (0, 0))
-        if kind == "polymatroid":
-            h, want = squared_count(p), {"violated": "[1_2(1,2)|0,0]"}
-        else:
-            h = uniform_on_support(1, mask_of([1]), p.ground)
-            want = {"symmetry": str(p)}
-        w = IsolationWitness(p, target, canonical_partition((4,)), h)
+        vec, want = to_sym(squared_count(p), p).free_values(), {"violated": "[1_2(1,2)|0,0]"}
+        w = IsolationWitness(p, target, canonical_partition((4,)), vec)
         first, second = check_isolation(w), check_isolation(w)
         assert not first.passed and not second.passed
         assert first.counterexample == second.counterexample == want
@@ -1007,19 +992,18 @@ class TestWitnessGate:
         for p, ctx in benchmark_isolation_pairs():
             for label in orbit_labels(p):
                 w = build_isolation(p, label, ctx)
-                half = Fraction(1, 2) * w.function
-                bad, vec = verify_module._dense_gate(half, p)
-                assert bad is None
+                vec = to_sym(Fraction(1, 2) * w.function, p).free_values()
+                assert verify_module._gate(p, vec) is None
                 assert any(type(x) is Fraction and x.denominator == 2 for x in vec)
                 assert vec == tuple(Fraction(x, 2) for x in w.vector)
-                v = check_isolation(IsolationWitness(p, label, ctx, half))
+                v = check_isolation(IsolationWitness(p, label, ctx, vec))
                 assert v.passed and v.counterexample is None
                 count += 1
         assert count == 541
         # a failing check names the value in the witness's own scale
         p = canonical_partition((2, 2))
         w = IsolationWitness(p, OrbitLabel((1, 0), (0, 0)), canonical_partition((4,)),
-                             Fraction(1, 2) * uniform(4, 4))
+                             to_sym(Fraction(1, 2) * uniform(4, 4), p).free_values())
         assert check_isolation(w).counterexample == {"label": "[1_2(2)|0]",
                                                      "value": "1/2"}
 
@@ -1051,7 +1035,7 @@ class TestWitnessGate:
 
     def test_reduced_gate_agrees_with_dense_gate_on_the_suite(self):
         # every isolation and gap witness of run_suite(5), by its table
-        # gate or its dense reduction, against the dense oracle
+        # gate or the gate of its dense reduction, against the dense oracle
         count = 0
         for n in range(2, 6):
             reps = canonical_representatives(n)
@@ -1067,7 +1051,7 @@ class TestWitnessGate:
         for parts in GAP_PARTS:
             p = canonical_partition(parts)
             h = gap_witness_blocks(two_block_coarsening(p))
-            assert verify_module._dense_gate(h, p)[0] is None
+            assert verify_module._gate(p, to_sym(h, p).free_values()) is None
             assert dense_witness_gate(h, p) is None
             count += 1
         assert count == sum(v.claim in ("isolation", "gap") for v in run_suite(5)) == 418
@@ -1087,23 +1071,30 @@ class TestWitnessGate:
                     vec = tuple(vec)
                     h = from_sym(SymVector(p, (0, *vec)))
                     passed = verify_module._gate(p, vec) is None
-                    assert passed == (verify_module._dense_gate(h, p)[0] is None)
+                    assert passed == (
+                        verify_module._gate(p, to_sym(h, p).free_values()) is None)
                     assert passed == (dense_witness_gate(h, p) is None), (str(p), vec)
                     outcomes[passed] += 1
         assert min(outcomes.values()) > 20
 
     def test_reduced_gate_agrees_with_dense_gate_on_named_failures(self):
+        # a p-symmetric non-polymatroid fails the gate of its vector; a
+        # function that is not p-symmetric has no vector to gate
         p = canonical_partition((2, 2))
-        for h, kind in ((squared_count(p), "polymatroid"),
-                        (uniform_on_support(1, mask_of([1]), p.ground), "symmetry")):
-            assert dense_witness_gate(h, p) == kind
-            assert verify_module._dense_gate(h, p)[0] is not None
+        h = squared_count(p)
+        assert dense_witness_gate(h, p) == "polymatroid"
+        assert verify_module._gate(p, to_sym(h, p).free_values()) is not None
+        h = uniform_on_support(1, mask_of([1]), p.ground)
+        assert dense_witness_gate(h, p) == "symmetry"
+        with pytest.raises(SymmetryError):
+            to_sym(h, p)
 
     def test_corrupted_cone_row_fails_the_verdicts_that_read_it(self, monkeypatch,
                                                                 fresh_tables):
         # one row of Psi_(2,2) negated: the isolation witness of that
         # row's label and the gap witness are strict on it, so the gate
-        # names it; a dense witness reads the same corrupted row
+        # names it; a witness built from a dense function's vector reads
+        # the same corrupted row
         p = canonical_partition((2, 2))
         ctx = canonical_partition((4,))
         real = psi_p_hrep(p)
@@ -1123,7 +1114,8 @@ class TestWitnessGate:
         assert not first.passed and first.counterexample == want
         assert second.counterexample == want
         assert first.counterexample is not second.counterexample
-        dense = check_isolation(IsolationWitness(p, label, ctx, w.function))
+        dense = check_isolation(
+            IsolationWitness(p, label, ctx, to_sym(w.function, p).free_values()))
         assert not dense.passed and dense.counterexample == want
 
     def test_failed_reduction_fails_every_gate(self, monkeypatch, fresh_tables):
@@ -1139,8 +1131,42 @@ class TestWitnessGate:
             w = build_isolation(p, label, ctx)
             v = check_isolation(w)
             assert not v.passed and v.counterexample == want
-            v = check_isolation(IsolationWitness(p, label, ctx, w.function))
+            vec = to_sym(w.function, p).free_values()
+            v = check_isolation(IsolationWitness(p, label, ctx, vec))
             assert not v.passed and v.counterexample == want
+
+
+class TestDenseWork:
+    def test_warm_suite_builds_only_the_decompose_points(self, monkeypatch):
+        # every other verdict reads reduced vectors; each decompose
+        # point is one dense function, inflated from its reduced vector
+        run_suite(5)
+        built = []
+        real = SetFunction.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(SetFunction, "__post_init__", counting)
+        verdicts = run_suite(5)
+        assert len(built) == sum(v.claim == "decompose" for v in verdicts) == 10
+        assert sorted(h.n for h in built) == [3] * 5 + [4] * 5
+
+    def test_cold_isolation_pass_reduces_no_function(self, monkeypatch):
+        clear_package_caches()
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "symcone" and hasattr(mod, "to_sym"):
+                def counting(h, p, real=mod.to_sym):
+                    calls.append(p)
+                    return real(h, p)
+                monkeypatch.setattr(mod, "to_sym", counting)
+        witnesses = [build_isolation(p, label, ctx)
+                     for p, ctx in benchmark_isolation_pairs() for label in orbit_labels(p)]
+        assert len(witnesses) == 541
+        assert all(check_isolation(w).passed for w in witnesses)
+        assert calls == []
 
 
 class TestFamilyVectors:
@@ -1186,6 +1212,16 @@ class TestCollapse:
         p = canonical_partition((1, 1, 2))
         with pytest.raises(ValueError, match="merge exactly two blocks"):
             collapse_label(lab, p, canonical_partition((4,)))
+
+    def test_label_of_another_block_count_rejected(self):
+        # a label with fewer or more blocks than p; the message names
+        # both counts
+        p = canonical_partition((2, 2))
+        ctx = canonical_partition((4,))
+        for lab in (OrbitLabel((1,), (0,)), OrbitLabel((1, 0, 0), (0, 0, 0))):
+            with pytest.raises(ValueError) as err:
+                collapse_label(lab, p, ctx)
+            assert str(err.value) == f"label {lab} has {lab.t} blocks, partition {p} has 2"
 
 
 class TestDecompose1n:
